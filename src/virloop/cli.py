@@ -8,8 +8,6 @@ that emit one JSON certificate each, and batch plumbing (`run`,
 
 Exit codes: 0 every check passed, 1 a verified claim failed, 2 the stated
 hypotheses exclude the given parameters, 3 the input itself was invalid.
-The VIRLOOP_THREADS environment variable caps worker parallelism for all
-subcommands.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .config import (
     psi_field,
     report_json,
     run_config,
-    thread_count,
 )
 from .intermediate import (
     INDEX_ALL,
@@ -132,10 +129,6 @@ def _add_window(p, default=(-6, 6)):
     )
 
 
-def _add_threads(p):
-    p.add_argument("--threads", type=int, default=None, help="worker count (capped by VIRLOOP_THREADS)")
-
-
 # -- construction helpers ------------------------------------------------------
 
 
@@ -160,7 +153,7 @@ def _tensor_from(args) -> TensorModule:
     psi = psi_field(algebra, list(args.psi), "--psi")
     alpha = _scalar_field(args.alpha, "--alpha")
     beta = _scalar_field(args.beta, "--beta")
-    vm = VermaModule(algebra, hw, args.depth, threads=thread_count(args.threads))
+    vm = VermaModule(algebra, hw, args.depth)
     index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
     return TensorModule(vm, IntModule(IntParams(alpha, beta, psi), index_set))
 
@@ -210,7 +203,7 @@ def _cmd_int_module(args) -> int:
 def _cmd_verma(args) -> int:
     algebra = algebra_field(args.algebra, "--algebra")
     hw = _hw_from(algebra, args.phi_d0, args.phi_c)
-    vm = VermaModule(algebra, hw, args.depth, threads=thread_count(args.threads))
+    vm = VermaModule(algebra, hw, args.depth)
     levels = {}
     for k in range(args.depth + 1):
         levels[str(k)] = {
@@ -281,9 +274,8 @@ def _cmd_psi_sep(args) -> int:
     else:
         hw2 = hw1
     depth2 = args.depth2 if args.depth2 is not None else args.depth
-    threads = thread_count(args.threads)
-    vm1 = VermaModule(algebra, hw1, args.depth, threads=threads)
-    vm2 = VermaModule(algebra, hw2, depth2, threads=threads)
+    vm1 = VermaModule(algebra, hw1, args.depth)
+    vm2 = VermaModule(algebra, hw2, depth2)
 
     def _factor(alpha, beta, psi):
         index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
@@ -328,9 +320,8 @@ def _cmd_iso_check(args) -> int:
     }
     reasons = [] if equal else [f"signatures differ in: {', '.join(diffs)}"]
     if not equal and args.refute:
-        threads = thread_count(args.threads)
-        vm1 = VermaModule(algebra, hw1, args.depth, threads=threads)
-        vm2 = VermaModule(algebra, hw2, args.depth, threads=threads)
+        vm1 = VermaModule(algebra, hw1, args.depth)
+        vm2 = VermaModule(algebra, hw2, args.depth)
 
         def _factor(alpha, beta, psi):
             index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
@@ -418,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algebra(p)
     _add_phi(p)
     _add_depth(p)
-    _add_threads(p)
     p.add_argument(
         "--irreducibility",
         action="store_true",
@@ -432,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int_factor(p)
     _add_depth(p)
     _add_window(p)
-    _add_threads(p)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("endo-probe", help="degree-2n annihilation and independence certificate")
@@ -440,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phi(p)
     _add_int_factor(p)
     _add_depth(p)
-    _add_threads(p)
     p.add_argument("--m", type=int, default=0, help="index of the seed pure tensor")
     p.add_argument("--k", type=int, required=True, help="depth window the certificate covers")
     p.set_defaults(func=_cmd_endo_probe)
@@ -450,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phi(p)
     _add_int_factor(p)
     _add_depth(p)
-    _add_threads(p)
     p.add_argument("--case", choices=["I", "II"], required=True)
     p.add_argument("--b", required=True, help="basis label or comma-separated coordinates in B")
     p.add_argument("--m", type=int, default=0, help="weight offset of the probed vector")
@@ -464,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int_factor(p)
     _add_depth(p)
     _add_window(p)
-    _add_threads(p)
     p.add_argument("--b", required=True, help="basis label or comma-separated coordinates in B")
     p.set_defaults(func=_cmd_cor31)
 
@@ -482,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_depth(p, default=1)
     p.add_argument("--depth2", type=int, default=None)
     _add_window(p, default=(-4, 4))
-    _add_threads(p)
     p.add_argument("--k", type=int, default=None, help="seed index on the live side")
     p.add_argument("--degrees", type=int, default=5, help="number of operator degrees to verify")
     p.set_defaults(func=_cmd_psi_sep)
@@ -509,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refute", action="store_true", help="attach concrete non-isomorphism evidence")
     _add_depth(p, default=1)
     _add_window(p, default=(-4, 4))
-    _add_threads(p)
     p.set_defaults(func=_cmd_iso_check)
 
     p = sub.add_parser("run", help="execute a JSON run config and write its report")

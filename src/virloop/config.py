@@ -57,25 +57,6 @@ class ConfigError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Effective worker count: the request capped by VIRLOOP_THREADS.
-
-    With no explicit request the cap itself is used, so setting the
-    variable alone turns on parallel level computation.
-    """
-    cap_text = os.environ.get("VIRLOOP_THREADS")
-    cap = None
-    if cap_text is not None:
-        try:
-            cap = max(1, int(cap_text))
-        except ValueError:
-            raise ConfigError("VIRLOOP_THREADS", f"not an integer: {cap_text!r}")
-    if requested is None:
-        return cap if cap is not None else 1
-    n = max(1, int(requested))
-    return min(n, cap) if cap is not None else n
-
-
 # -- field parsers ---------------------------------------------------------
 
 
@@ -186,7 +167,6 @@ class RunConfig:
     seed: int
     probes: list[dict]
     output: str | None
-    threads: int | None
     raw: dict
 
 
@@ -201,7 +181,6 @@ _TOP_KEYS = {
     "seed",
     "probes",
     "output",
-    "threads",
 }
 
 
@@ -272,10 +251,6 @@ def load_config(data: dict) -> RunConfig:
     if output is not None and not isinstance(output, str):
         raise ConfigError("output", "expected a file path string")
 
-    threads = None
-    if data.get("threads") is not None:
-        threads = _int_field(data["threads"], "threads", minimum=1)
-
     return RunConfig(
         algebra=algebra,
         hw=hw,
@@ -287,7 +262,6 @@ def load_config(data: dict) -> RunConfig:
         seed=seed,
         probes=probes,
         output=output,
-        threads=threads,
         raw=data,
     )
 
@@ -382,7 +356,7 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
 
 def build_modules(cfg: RunConfig) -> tuple[VermaModule, TensorModule | None]:
     """Construct the truncated Verma module and, when psi is given, the tensor."""
-    vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth, threads=thread_count(cfg.threads))
+    vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth)
     tensor = None
     if cfg.psi is not None:
         index_set = INDEX_NONZERO if (cfg.alpha == ZERO and cfg.beta == ZERO) else INDEX_ALL
@@ -507,7 +481,7 @@ def _execute_probe(cfg: RunConfig, vm, tensor, index: int, desc: dict) -> ProbeC
         depth2 = cfg.depth if desc["depth2"] is None else desc["depth2"]
         alpha2 = cfg.alpha if desc["alpha2"] is None else desc["alpha2"]
         beta2 = cfg.beta if desc["beta2"] is None else desc["beta2"]
-        vm2 = VermaModule(cfg.algebra, hw2, depth2, threads=thread_count(cfg.threads))
+        vm2 = VermaModule(cfg.algebra, hw2, depth2)
         index_set = INDEX_NONZERO if (alpha2 == ZERO and beta2 == ZERO) else INDEX_ALL
         tensor2 = TensorModule(vm2, IntModule(IntParams(alpha2, beta2, desc["psi2"]), index_set))
         return psi_separation(tensor, tensor2, cfg.window, k=desc["k"], num_l=desc["degrees"])
@@ -609,7 +583,7 @@ def fixture_dump(cfg: RunConfig, outdir: str) -> list[str]:
     is header-only.
     """
     os.makedirs(outdir, exist_ok=True)
-    vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth, threads=thread_count(cfg.threads))
+    vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth)
     algebra = cfg.algebra
     written = []
 

@@ -15,11 +15,13 @@ and lies in the radical; the radical is itself proper and invariant, so it
 equals N(φ).  V(φ) = M(φ)/N(φ) is realized by the complement monomials of
 the radical's pivot set.
 
-The engine normal-orders enveloping-algebra words by a worklist rewrite:
-strip central factors, kill words whose rightmost factor raises, evaluate
-rightmost degree-zero factors, and swap out-of-order adjacent pairs with a
-bracket correction.  Each step shortens the word or strictly reduces its
-inversion count, so the rewrite terminates.
+One memoized engine, PbwAction, acts with single generators d_n⊗e_j on
+PBW monomials: a generator is commuted past the leading factor with a
+bracket correction, and each (n, j, monomial) maps to a cached sparse
+vector, so equal terms merge at the vector level instead of being
+rewritten word by word.  Gram entries, the action on V(φ), word sums
+(normal_order) and the irreducibility closure all go through it; each
+VermaModule owns one cache shared by all its levels.
 
 A monomial is a tuple of (depth, bindex) pairs sorted by (-depth, bindex);
 vectors are sparse dicts {monomial: scalar}.
@@ -28,7 +30,6 @@ vectors are sparse dicts {monomial: scalar}.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .coeff_algebra import AlgebraB, BElem
 from .linalg import SpanBasis, nullspace
@@ -105,60 +106,90 @@ def omega_word(algebra: AlgebraB, mono: Monomial) -> tuple[Generator, ...]:
     )
 
 
-def normal_order(words: WordSum, hw: HighestWeight) -> PbwVector:
-    """Value of the word sum on ṽ, as a sparse monomial vector.
+class PbwAction:
+    """Memoized action of single generators d_n⊗e_j on the PBW basis of M(φ).
 
-    Worklist rewrite; see the module docstring for the rule set and the
-    termination measure (word length, then inversion count).
+    gen(n, j, mono) is (d_n⊗e_j).mono as a sparse vector of canonical
+    monomials.  A generator x meeting the leading factor y of y.rest
+    commutes past it,
+
+        x.(y.rest) = y.(x.rest) + [x, y].rest,
+
+    where y.(...) re-enters gen for the lowering generator y.  A lowering
+    x that already sorts before y is simply prepended; on ṽ a raising
+    generator gives 0 and d_0⊗e_j gives φ(d_0⊗e_j).  Every result is
+    cached under (n, j, mono), so equal terms merge once, at the vector
+    level.  Cached vectors are shared and must not be mutated.
     """
-    algebra = words.algebra
-    out: PbwVector = {}
-    work = [(factors, coeff) for factors, coeff in words.words.items()]
-    while work:
-        factors, coeff = work.pop()
-        if not coeff:
-            continue
-        # strip central factors anywhere; C⊗b acts as φ(C⊗b) on all of M(φ)
-        if any(g.kind == KIND_C for g in factors):
-            for g in factors:
-                if g.kind == KIND_C:
-                    coeff = coeff * hw.of_c(g.bcoef)
-            factors = tuple(g for g in factors if g.kind != KIND_C)
-            if not coeff:
+
+    def __init__(self, hw: HighestWeight):
+        self.hw = hw
+        algebra = hw.algebra
+        self._mult = [
+            [[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in algebra.table
+        ]
+        self._cache: dict = {}
+
+    def gen(self, n: int, j: int, mono: Monomial) -> PbwVector:
+        key = (n, j, mono)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if n < 0 and (not mono or (n, j) <= (-mono[0][0], mono[0][1])):
+            out = {((-n, j),) + mono: ONE}
+        elif not mono:
+            phi = self.hw.d0_values[j]
+            out = {(): phi} if n == 0 and phi else {}
+        else:
+            (n1, j1), rest = mono[0], mono[1:]
+            out = {}
+            for mono2, c2 in self.gen(n, j, rest).items():
+                for mono3, c3 in self.gen(-n1, j1, mono2).items():
+                    _deposit(out, mono3, c2 * c3)
+            # [d_n⊗e_j, d_{-n1}⊗e_j1] = (-n1 - n) d_{n-n1}⊗e_j e_j1 + δ_{n,n1} (n³-n)/12 C⊗e_j e_j1
+            if n != -n1:
+                lie = scalar(-n1 - n)
+                for kdx, c in self._mult[j][j1]:
+                    for mono2, c2 in self.gen(n - n1, kdx, rest).items():
+                        _deposit(out, mono2, lie * c * c2)
+            if n == n1:
+                central = central_charge_term(n)
+                phi_c = sum((c * self.hw.c_values[kdx] for kdx, c in self._mult[j][j1]), ZERO)
+                if central and phi_c:
+                    _deposit(out, rest, central * phi_c)
+        self._cache[key] = out
+        return out
+
+    def apply(self, g: Generator, vec: PbwVector) -> PbwVector:
+        """g.vec for d_n⊗b (b expanded over the basis) or C⊗b (the scalar φ(C⊗b))."""
+        if g.kind == KIND_C:
+            s = self.hw.of_c(g.bcoef)
+            return {mono: s * c for mono, c in vec.items()} if s else {}
+        out: PbwVector = {}
+        for j, b in enumerate(g.bcoef):
+            if not b:
                 continue
-        if not factors:
-            _deposit(out, (), coeff)
-            continue
-        last = factors[-1]
-        if last.degree > 0:
-            continue
-        if last.degree == 0:
-            work.append((factors[:-1], coeff * hw.of_d0(last.bcoef)))
-            continue
-        swap_at = None
-        for i in range(len(factors) - 2, -1, -1):
-            if factors[i].degree > factors[i + 1].degree:
-                swap_at = i
-                break
-        if swap_at is None:
-            _deposit_negative_word(out, algebra, factors, coeff)
-            continue
-        i = swap_at
-        x, y = factors[i], factors[i + 1]
-        work.append((factors[:i] + (y, x) + factors[i + 2 :], coeff))
-        bb = algebra.mult(x.bcoef, y.bcoef)
-        if any(bb):
-            lie_coeff = scalar(y.degree - x.degree)
-            mid = Generator(KIND_D, x.degree + y.degree, bb)
-            work.append((factors[:i] + (mid,) + factors[i + 2 :], coeff * lie_coeff))
-            if x.degree == -y.degree:
-                cterm = central_charge_term(x.degree)
-                if cterm:
-                    midc = Generator(KIND_C, 0, bb)
-                    work.append(
-                        (factors[:i] + (midc,) + factors[i + 2 :], coeff * cterm)
-                    )
-    return out
+            for mono, c in vec.items():
+                bc = b * c
+                for mono2, c2 in self.gen(g.degree, j, mono).items():
+                    _deposit(out, mono2, bc * c2)
+        return out
+
+    def apply_words(self, words: WordSum, vec: PbwVector) -> PbwVector:
+        """The word sum applied to vec, each word's factors right to left."""
+        out: PbwVector = {}
+        for factors, coeff in words.words.items():
+            part = vec
+            for g in reversed(factors):
+                part = self.apply(g, part)
+            for mono, c in part.items():
+                _deposit(out, mono, coeff * c)
+        return out
+
+
+def normal_order(words: WordSum, hw: HighestWeight) -> PbwVector:
+    """Value of the word sum on ṽ, as a sparse monomial vector."""
+    return PbwAction(hw).apply_words(words, {(): ONE})
 
 
 def _deposit(out: PbwVector, mono: Monomial, coeff: GaussianRational):
@@ -167,25 +198,6 @@ def _deposit(out: PbwVector, mono: Monomial, coeff: GaussianRational):
         out[mono] = s
     else:
         out.pop(mono, None)
-
-
-def _deposit_negative_word(out, algebra, factors, coeff):
-    """Expand B-coefficients over the basis and file under canonical monomials."""
-    pools = []
-    for g in factors:
-        entries = [(j, c) for j, c in enumerate(g.bcoef) if c]
-        if not entries:
-            return
-        pools.append(entries)
-    depths = [-g.degree for g in factors]
-    for pick in itertools.product(*pools):
-        c = coeff
-        for _, bc in pick:
-            c = c * bc
-        mono = tuple(
-            sorted(((d, j) for d, (j, _) in zip(depths, pick)), key=lambda p: (-p[0], p[1]))
-        )
-        _deposit(out, mono, c)
 
 
 class _LevelData:
@@ -202,35 +214,48 @@ class _LevelData:
 class VermaModule:
     """M(φ) and V(φ) = M(φ)/N(φ), computed level by level up to a depth bound.
 
-    Level data (Gram matrix, radical, quotient basis) is immutable once
-    built and independent across levels, so construction may fan out over
-    threads.  extend_depth mutates and must be called from one thread.
+    Levels are built in order, because each Gram matrix reads the rows of
+    lower levels, and every level shares one PbwAction cache.  Level data
+    (Gram matrix, radical, quotient basis) is immutable once built;
+    extend_depth only appends levels.
     """
 
-    def __init__(self, algebra: AlgebraB, hw: HighestWeight, depth: int, threads: int = 1):
+    def __init__(self, algebra: AlgebraB, hw: HighestWeight, depth: int):
         if depth < 0:
             raise ValueError("depth must be non-negative")
         self.algebra = algebra
         self.hw = hw
         self.depth = -1
         self._levels: list[_LevelData] = []
-        self._threads = max(1, int(threads))
+        self._action = PbwAction(hw)
         self.extend_depth(depth)
 
     # -- level construction -------------------------------------------------------
 
     def _compute_level(self, k: int) -> _LevelData:
+        """Gram matrix, radical and quotient basis of level k; levels below must exist.
+
+        For u = (d_{-a}⊗e_j).u' the entry ⟨u, v⟩ is the ṽ-coefficient of
+        ω(u').(d_a⊗e_j).v, that is, level k-a's Gram row of u' paired with
+        the cached vector (d_a⊗e_j).v.  The form is symmetric, so only the
+        upper triangle is computed.
+        """
         monos = pbw_monomials(self.algebra.dim, k)
         index = {m: i for i, m in enumerate(monos)}
-        gram = []
-        for u in monos:
-            raising = omega_word(self.algebra, u)
-            row = []
-            for v in monos:
-                word = raising + monomial_word(self.algebra, v)
-                res = normal_order(WordSum(self.algebra, {word: ONE}), self.hw)
-                row.append(res.get((), ZERO))
-            gram.append(row)
+        size = len(monos)
+        gram = [[ZERO] * size for _ in range(size)]
+        for r, u in enumerate(monos):
+            if not u:  # level 0: ⟨ṽ, ṽ⟩ = 1
+                gram[r][r] = ONE
+                continue
+            (a, j), rest = u[0], u[1:]
+            below = self._levels[k - a]
+            row_below = below.gram[below.index[rest]]
+            for s in range(r, size):
+                acc = ZERO
+                for mono, c in self._action.gen(a, j, monos[s]).items():
+                    acc = acc + c * row_below[below.index[mono]]
+                gram[r][s] = gram[s][r] = acc
         radical = SpanBasis()
         for ker in nullspace(gram):
             radical.add({monos[i]: c for i, c in enumerate(ker) if c})
@@ -239,16 +264,9 @@ class VermaModule:
         return _LevelData(monos, index, gram, radical, quotient)
 
     def extend_depth(self, new_depth: int):
-        if new_depth <= self.depth:
-            return
-        targets = range(self.depth + 1, new_depth + 1)
-        if self._threads > 1:
-            with ThreadPoolExecutor(max_workers=self._threads) as pool:
-                computed = list(pool.map(self._compute_level, targets))
-        else:
-            computed = [self._compute_level(k) for k in targets]
-        self._levels.extend(computed)
-        self.depth = new_depth
+        for k in range(self.depth + 1, new_depth + 1):
+            self._levels.append(self._compute_level(k))
+            self.depth = k
 
     def _level(self, k: int) -> _LevelData:
         if k < 0:
@@ -307,21 +325,13 @@ class VermaModule:
     def act_words_on_vphi(self, words: WordSum, k: int, vec: PbwVector) -> dict[int, PbwVector]:
         """Apply a word sum to a level-k quotient vector; results keyed by level.
 
-        The input is lifted to PBW monomials, each word is prepended and
-        normal-ordered, and each homogeneous piece is reduced at its level.
+        The input is lifted to PBW monomials, the words act through the
+        module's PbwAction, and each homogeneous piece is reduced at its
+        level.
         """
-        raw: PbwVector = {}
-        for mono, c in vec.items():
-            word_tail = monomial_word(self.algebra, mono)
-            shifted = WordSum(self.algebra)
-            for factors, wc in words.words.items():
-                shifted.add_word(factors + word_tail, wc * c)
-            for mono2, c2 in normal_order(shifted, self.hw).items():
-                _deposit(raw, mono2, c2)
         by_level: dict[int, PbwVector] = {}
-        for mono2, c2 in raw.items():
-            lvl = sum(d for d, _ in mono2)
-            _deposit(by_level.setdefault(lvl, {}), mono2, c2)
+        for mono, c in self._action.apply_words(words, vec).items():
+            by_level.setdefault(sum(d for d, _ in mono), {})[mono] = c
         return {
             lvl: red
             for lvl, vec2 in by_level.items()
@@ -342,8 +352,7 @@ class VermaModule:
             raise DepthExceededError(
                 f"action lands at level {target} beyond depth {self.depth}; extend depth"
             )
-        res = self.act_words_on_vphi(WordSum.single(self.algebra, gen), k, vec)
-        return target, res.get(target, {})
+        return target, self.vphi_reduce(target, self._action.apply(gen, vec))
 
     # -- truncated irreducibility oracle --------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Independent dense oracle for highest-weight module computations.
 
-This is a deliberately separate implementation path from the package's
-worklist rewriting engine: single generators act on canonical monomials by
-structural recursion (commute one factor at a time, in the style of a
-textbook PBW straightening), and Gram matrices are assembled dense, level
-by level.  Tests compare the optimized engine against this oracle; the
-oracle itself is validated on hand-derived small cases.
+Single generators act on canonical monomials by structural recursion
+(commute one factor at a time, in the style of a textbook PBW
+straightening), and Gram matrices are assembled dense, level by level,
+each entry by applying the whole raising word.  The package's engine uses
+the same single-generator recursion but builds Gram rows from lower
+levels and only the upper triangle; tests/oracle_worklist.py is the
+word-level path that shares no recursion with either.  The oracle itself
+is validated on hand-derived small cases.
 
 Monomial encoding: a tuple of (depth, bindex) pairs, depth >= 1, sorted by
 (-depth, bindex); the empty tuple is the highest weight vector.

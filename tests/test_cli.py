@@ -20,7 +20,6 @@ from virloop.config import (
     load_config,
     report_json,
     run_config,
-    thread_count,
 )
 from virloop.coeff_algebra import split_algebra
 from virloop.scalars import scalar
@@ -86,6 +85,16 @@ def test_load_config_rejects_unknown_top_field():
     assert err.value.path == "depht"
 
 
+def test_load_config_rejects_threads_field(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(minimal_config(threads=2))
+    assert err.value.path == "threads"
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps(minimal_config(threads=2)))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert main(["verma", "--phi-d0", "1", "--depth", "1", "--threads", "2"]) == EXIT_CONFIG
+
+
 def test_load_config_rejects_float_scalar():
     with pytest.raises(ConfigError) as err:
         load_config({"algebra": "trivial", "phi": {"d0": [0.5]}})
@@ -128,19 +137,6 @@ def test_belem_field_label_and_coords():
     assert belem_field(algebra, ["1", "1"], "b") == algebra.unit
     with pytest.raises(ConfigError):
         belem_field(algebra, "e7", "b")
-
-
-def test_thread_count_env_cap(monkeypatch):
-    monkeypatch.delenv("VIRLOOP_THREADS", raising=False)
-    assert thread_count(None) == 1
-    assert thread_count(6) == 6
-    monkeypatch.setenv("VIRLOOP_THREADS", "2")
-    assert thread_count(None) == 2
-    assert thread_count(6) == 2
-    assert thread_count(1) == 1
-    monkeypatch.setenv("VIRLOOP_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        thread_count(None)
 
 
 # -- report execution ------------------------------------------------------------

@@ -1,15 +1,21 @@
-"""Highest-weight module engine against the independent dense oracle.
+"""Highest-weight module engine against independent oracles.
 
 Expected matrices below were frozen from the oracle (tests/oracle_dense.py)
-after validating it on hand-derived one- and two-factor words.
+after validating it on hand-derived one- and two-factor words.  The
+worklist oracle (tests/oracle_worklist.py) checks the engine at small
+depths; the Kac determinant checks radicals at depths the worklist
+oracle cannot reach in a test budget.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_dense import DenseOracle, oracle_monomials
-from virloop.coeff_algebra import trivial_algebra, truncated_poly
+from oracle_worklist import worklist_act, worklist_gram
+from virloop.coeff_algebra import builtin_algebra, trivial_algebra, truncated_poly
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.verma import (
     DepthExceededError,
@@ -280,13 +286,75 @@ def test_extend_depth_preserves_lower_levels():
     assert len(vm.pbw_basis(4)) == 5
 
 
-def test_threaded_construction_matches_serial():
-    hw = hw_c("1/2", "2")
-    vm1 = VermaModule(TRIV, hw, 3, threads=1)
-    vm4 = VermaModule(TRIV, hw, 3, threads=4)
-    for k in range(4):
-        assert vm1.gram(k) == vm4.gram(k)
-        assert vm1.quotient_monomials(k) == vm4.quotient_monomials(k)
+WORKLIST_CASES = [
+    ("trivial", 4, ["1/2"], ["1/3"]),
+    ("trivial", 4, ["1/8"], ["-2"]),  # Kac (1,2) at t = 2: radical from level 2
+    ("split 2", 3, ["0", "1"], ["0", "0"]),
+    ("split 2", 3, ["1/2", "i"], ["1", "-2"]),
+    ("truncated-poly 3", 3, ["1", "1/2", "0"], ["2", "0", "1/3"]),
+    ("cyclic-group 3", 3, ["1/2", "1", "-1"], ["1/3", "0", "1"]),
+]
+
+
+@pytest.mark.parametrize("name,depth,d0,c", WORKLIST_CASES)
+def test_engine_matches_worklist_oracle(name, depth, d0, c):
+    algebra = builtin_algebra(name)
+    hw = HighestWeight(algebra, d0, c)
+    vm = VermaModule(algebra, hw, depth)
+    for k in range(depth + 1):
+        assert vm.gram(k) == worklist_gram(hw, k), k
+    gens = [c_gen(algebra.unit), d_gen(-1, algebra.unit)]
+    gens += [
+        d_gen(n, algebra.basis_elem(j))
+        for n in range(-depth, depth + 1)
+        for j in range(algebra.dim)
+    ]
+    for k in range(depth + 1):
+        for mono in vm.pbw_basis(k):
+            for gen in gens:
+                target = k - gen.degree
+                if target < 0 or target > depth:
+                    continue
+                want = vm.vphi_reduce(target, worklist_act(hw, gen, mono))
+                assert vm.act_on_vphi(gen, k, {mono: ONE}) == (target, want), (k, mono, gen)
+
+
+def test_upper_triangle_gram_matches_dense_oracle_split2():
+    algebra = builtin_algebra("split 2")
+    d0, c = ["1/2", "3"], ["1", "-2"]
+    vm = VermaModule(algebra, HighestWeight(algebra, d0, c), 4)
+    oracle = DenseOracle(algebra, d0, c)
+    for k in range(5):
+        monos, g = oracle.gram(k)
+        assert vm.pbw_basis(k) == monos
+        assert vm.gram(k) == g
+
+
+def _kac_h(r, s, t):
+    """h_{r,s}(t) = (r²-1)t/4 + (s²-1)/(4t) - (rs-1)/2, with c = 13 - 6(t + 1/t)."""
+    return Fraction(r * r - 1) * t / 4 + Fraction(s * s - 1) / (4 * t) - Fraction(r * s - 1, 2)
+
+
+KAC_T = Fraction(2)
+KAC_C = 13 - 6 * (KAC_T + 1 / KAC_T)
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2)])
+def test_kac_degenerate_radical_first_appears_at_rs(r, s):
+    # d_n = -L_n, so φ(d_0) = -h and φ(C) = c
+    hw = hw_c(str(-_kac_h(r, s, KAC_T)), str(KAC_C))
+    vm = VermaModule(TRIV, hw, 8)
+    for k in range(r * s):
+        assert vm.radical_dim(k) == 0, k
+    assert vm.radical_dim(r * s) > 0
+
+
+def test_kac_generic_weight_has_no_radical_through_level_8():
+    h = Fraction(-1, 2)
+    kac_zeros = {_kac_h(r, s, KAC_T) for r in range(1, 9) for s in range(1, 9 // r + 1)}
+    assert h not in kac_zeros
+    vm = VermaModule(TRIV, hw_c(str(-h), str(KAC_C)), 8)
+    assert [vm.radical_dim(k) for k in range(9)] == [0] * 9
 
 
 def test_quotient_irreducibility_generic():
