@@ -7,7 +7,8 @@ that emit one JSON certificate each, and batch plumbing (`run`,
 `fixtures`) driven by a JSON config file.
 
 Exit codes: 0 every check passed, 1 a verified claim failed, 2 the stated
-hypotheses exclude the given parameters, 3 the input itself was invalid.
+hypotheses exclude the given parameters, 3 the input itself was invalid,
+4 an internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from importlib import resources
 
 from .coeff_algebra import CharacterPsi
@@ -62,6 +64,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNSATISFIABLE = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {
     STATUS_PASS: EXIT_PASS,
@@ -524,6 +527,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

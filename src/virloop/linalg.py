@@ -6,69 +6,187 @@ Two flavours are used throughout the package:
 * sparse vectors as dicts keyed by arbitrary orderable coordinates, for
   span closures (ideal generation, submodule search, generation checks).
 
-Everything is plain Gaussian elimination with exact division in Q(i).
+Dense elimination (`rref`, `rank`, `nullspace`, `solve`) runs on one
+fraction-free engine over the Gaussian integers Z[i]:
+
+* Each row is multiplied by the lcm of its denominators.  Scaling a row
+  by a nonzero number changes neither the kernel nor the reduced row
+  echelon form, and every entry becomes a pair of Python ints.
+* One-step Bareiss (1968) Gauss–Jordan elimination: with pivot p in row
+  r and the previous pivot d, every other row becomes
+  (p·row_i − row_i[c]·row_r) / d.  By Sylvester's identity each entry is
+  then a minor of the scaled matrix, so the division is exact in Z[i] and
+  no fraction is formed.  All pivots end equal to the last one, D, and
+  the reduced echelon form is the integer rows divided by D; only those
+  quotients become `GaussianRational` values.  Real matrices, the usual
+  case, run the same recurrence on plain ints.
+* `nullspace` first tries a modular certificate on square and tall
+  matrices: the scaled matrix is reduced modulo the prime `CERT_PRIME`
+  (p ≡ 1 mod 4), with i sent to the square root `CERT_SQRT_MINUS_ONE`
+  of −1 mod p.  That is a ring map Z[i] → F_p, so it maps the determinant
+  of any maximal minor to the same minor mod p; full column rank mod p
+  therefore proves full column rank over Q(i), and the kernel is {0}.  A
+  lower rank mod p proves nothing (p may divide a nonzero minor), so the
+  exact path decides every nonzero nullity.
+
 Pivots are always chosen leftmost in the declared coordinate order, which
-makes every echelon basis deterministic and regression-friendly.
+makes every echelon basis deterministic and regression-friendly; the
+reduced echelon form, and with it the canonical kernel basis (1 at each
+free column), is unique, so it does not depend on how it was computed.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .scalars import GaussianRational, ONE, ZERO, scalar
 
 Matrix = list[list[GaussianRational]]
 SparseVec = dict
 
+CERT_PRIME = 2147483629  # the largest prime below 2^31 that is 1 mod 4
+# p = 5 (mod 8) makes 2 a non-residue, so 2^((p-1)/4) squares to 2^((p-1)/2) = -1
+CERT_SQRT_MINUS_ONE = pow(2, (CERT_PRIME - 1) // 4, CERT_PRIME)
+
+
+def _scaled(matrix: Matrix) -> tuple[list[list[int]], list[list[int]] | None]:
+    """Rows times the lcm of their denominators: (real parts, imaginary parts or None if all real)."""
+    re_rows, im_rows = [], []
+    for row in matrix:
+        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+        re_rows.append([x.re.numerator * (den // x.re.denominator) for x in row])
+        im_rows.append([x.im.numerator * (den // x.im.denominator) for x in row])
+    return re_rows, (im_rows if any(any(r) for r in im_rows) else None)
+
+
+def _full_rank_mod_p(re_rows, im_rows, ncols: int) -> bool:
+    """True when the scaled matrix has rank ncols modulo CERT_PRIME."""
+    p, root = CERT_PRIME, CERT_SQRT_MINUS_ONE
+    if im_rows is None:
+        rows = [[a % p for a in r] for r in re_rows]
+    else:
+        rows = [[(a + root * b) % p for a, b in zip(r, s)] for r, s in zip(re_rows, im_rows)]
+    for _ in range(ncols):  # eliminate the leading column, then drop it
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            return False
+        prow = rows.pop(piv)
+        inv = pow(prow[0], -1, p)
+        tail = prow[1:]
+        rows = [
+            [(a - f * b) % p for a, b in zip(row[1:], tail)] if (f := row[0] * inv % p) else row[1:]
+            for row in rows
+        ]
+    return True
+
+
+def _echelon(re_rows, im_rows, ncols: int):
+    """Fraction-free Gauss–Jordan, in place, on rows scaled by `_scaled`.
+
+    Returns (re_rows, im_rows, pivots, D): the reduced row echelon form is
+    (re_rows + i·im_rows) / D, rows past len(pivots) are zero, and im_rows
+    is None when the matrix is real.
+    """
+    nrows = len(re_rows)
+    pivots: list[int] = []
+    d_re, d_im = 1, 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next(
+            (i for i in range(r, nrows) if re_rows[i][c] or (im_rows and im_rows[i][c])), None
+        )
+        if piv is None:
+            continue
+        re_rows[r], re_rows[piv] = re_rows[piv], re_rows[r]
+        pr_row = re_rows[r]
+        p_re = pr_row[c]
+        if im_rows is None:
+            for i in range(nrows):
+                if i != r:
+                    f, row = re_rows[i][c], re_rows[i]
+                    re_rows[i] = [(p_re * a - f * b) // d_re for a, b in zip(row, pr_row)]
+            d_re = p_re
+        else:
+            im_rows[r], im_rows[piv] = im_rows[piv], im_rows[r]
+            pi_row = im_rows[r]
+            p_im = pi_row[c]
+            norm = d_re * d_re + d_im * d_im
+            for i in range(nrows):
+                if i == r:
+                    continue
+                a_re, a_im = re_rows[i], im_rows[i]
+                f_re, f_im = a_re[c], a_im[c]
+                x_re = [
+                    p_re * ar - p_im * ai - f_re * br + f_im * bi
+                    for ar, ai, br, bi in zip(a_re, a_im, pr_row, pi_row)
+                ]
+                x_im = [
+                    p_re * ai + p_im * ar - f_re * bi - f_im * br
+                    for ar, ai, br, bi in zip(a_re, a_im, pr_row, pi_row)
+                ]
+                # exact division by d: multiply by conj(d), divide by |d|^2
+                re_rows[i] = [(xr * d_re + xi * d_im) // norm for xr, xi in zip(x_re, x_im)]
+                im_rows[i] = [(xi * d_re - xr * d_im) // norm for xr, xi in zip(x_re, x_im)]
+            d_re, d_im = p_re, p_im
+        pivots.append(c)
+        r += 1
+    return re_rows, im_rows, pivots, (d_re, d_im)
+
+
+def _entry(re_rows, im_rows, r: int, c: int, d) -> GaussianRational:
+    """Entry (r, c) of the reduced row echelon form: row entry / D, with D = d = (re, im)."""
+    n_re, n_im = re_rows[r][c], im_rows[r][c] if im_rows else 0
+    d_re, d_im = d
+    if not d_im:
+        return GaussianRational(Fraction(n_re, d_re), Fraction(n_im, d_re))
+    norm = d_re * d_re + d_im * d_im
+    return GaussianRational(
+        Fraction(n_re * d_re + n_im * d_im, norm), Fraction(n_im * d_re - n_re * d_im, norm)
+    )
+
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    re_rows, im_rows, pivots, d = _echelon(*_scaled(matrix), ncols)
+    rows = [[_entry(re_rows, im_rows, r, c, d) for c in range(ncols)] for r in range(len(pivots))]
+    rows += [[ZERO] * ncols for _ in range(len(matrix) - len(pivots))]
     return rows, pivots
 
 
 def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1]) if matrix else 0
+    return len(_echelon(*_scaled(matrix), len(matrix[0]))[2]) if matrix else 0
 
 
 def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:
     """Basis of {x : A x = 0}, echelonized with one vector per free column.
 
     The vector for free column f has entry 1 at f and 0 at every other
-    free column, so the output is canonical given the column order.
+    free column, so the output is canonical given the column order.  A
+    square or tall matrix of full rank modulo CERT_PRIME has kernel {0}
+    and returns [] without exact elimination.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+    re_rows, im_rows = _scaled(matrix)
+    if len(matrix) >= ncols and _full_rank_mod_p(re_rows, im_rows, ncols):
+        return []
+    re_rows, im_rows, pivots, d = _echelon(re_rows, im_rows, ncols)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [ZERO] * ncols
         vec[f] = ONE
         for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
+            vec[p] = -_entry(re_rows, im_rows, r, f, d)
         basis.append(vec)
     return basis
 
@@ -79,12 +197,12 @@ def solve(matrix: Matrix, target: list[GaussianRational]):
         return None
     ncols = len(matrix[0])
     aug = [list(row) + [t] for row, t in zip(matrix, target)]
-    rows, pivots = rref(aug)
+    re_rows, im_rows, pivots, d = _echelon(*_scaled(aug), ncols + 1)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
     for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
+        x[p] = _entry(re_rows, im_rows, r, ncols, d)
     return x
 
 

@@ -8,6 +8,7 @@ import pytest
 from virloop.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_UNSATISFIABLE,
     load_config_data,
@@ -296,6 +297,23 @@ def test_cli_run_invalid_json_is_config_error(tmp_path, capsys):
 def test_cli_bad_flag_value_is_config_error(capsys):
     assert main(["verma", "--phi-d0", "1", "--depth", "x"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_4_with_traceback(monkeypatch, capsys):
+    import virloop.cli as cli
+
+    def broken_engine(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "VermaModule", broken_engine)
+    code = main(["verma", "--phi-d0", "1", "--phi-c", "0", "--depth", "2"])
+    assert code == EXIT_INTERNAL
+    assert code not in (EXIT_PASS, EXIT_FAIL, EXIT_UNSATISFIABLE, EXIT_CONFIG)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" in captured.err
+    assert "Traceback (most recent call last)" in captured.err
+    assert "RuntimeError: engine fault" in captured.err
 
 
 def test_cli_verma_levels(capsys):

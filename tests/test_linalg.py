@@ -2,10 +2,24 @@
 
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virloop.linalg import SpanBasis, nullspace, parse_matrix, rank, rref, solve
+import oracle_rref
+from oracle_dense import DenseOracle
+from virloop import linalg
+from virloop.coeff_algebra import trivial_algebra
+from virloop.linalg import (
+    CERT_PRIME,
+    CERT_SQRT_MINUS_ONE,
+    SpanBasis,
+    nullspace,
+    parse_matrix,
+    rank,
+    rref,
+    solve,
+)
 from virloop.scalars import ONE, ZERO, GaussianRational, scalar
 
 
@@ -130,3 +144,119 @@ def test_nullspace_vectors_annihilate(nr, nc, data):
     for v in basis:
         for row in m:
             assert sum((a * b for a, b in zip(row, v)), ZERO) == ZERO
+
+
+# -- the fraction-free engine against the Fraction Gauss–Jordan oracle ---------------
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def qi_systems(draw):
+    """A random Q(i) matrix with a right-hand side; some rows, columns or copies zeroed."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    complex_entries = draw(st.booleans())
+    entry = st.builds(GaussianRational, rationals, rationals if complex_entries else st.just(0))
+    m = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    for r in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+        m[r] = [ZERO] * nc
+    for c in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+        for row in m:
+            row[c] = ZERO
+    if nr > 1 and draw(st.booleans()):  # a multiple of another row
+        src, dst = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
+        factor = draw(entry)
+        m[dst] = [factor * x for x in m[src]]
+    target = [draw(entry) for _ in range(nr)]
+    return m, target
+
+
+@settings(max_examples=300)
+@given(qi_systems())
+def test_elimination_equals_fraction_oracle(system):
+    m, target = system
+    assert rref(m) == oracle_rref.rref(m)
+    assert rank(m) == oracle_rref.rank(m)
+    assert nullspace(m) == oracle_rref.nullspace(m)
+    assert solve(m, target) == oracle_rref.solve(m, target)
+
+
+@pytest.mark.parametrize(
+    "d0, c, nullity",
+    [
+        ("1/2", "1/3", 0),  # generic: the certificate decides
+        ("-3/8", "-2", 7),  # h = h_{2,2}(t) = 3/8 at t = 2, c = -2: the exact path
+    ],
+)
+def test_level_9_gram_kernel_equals_fraction_oracle(d0, c, nullity):
+    _monos, gram = DenseOracle(trivial_algebra(), [d0], [c]).gram(9)
+    expected = oracle_rref.nullspace(gram)
+    assert len(expected) == nullity
+    assert nullspace(gram) == expected
+    assert rank(gram) == len(gram) - nullity
+
+
+# -- the modular certificate never decides a nonzero nullity -------------------------
+
+
+def test_certificate_prime_is_one_mod_four_with_sqrt_minus_one():
+    assert CERT_PRIME % 4 == 1
+    assert all(CERT_PRIME % q for q in range(2, 46341))  # 46341² > CERT_PRIME
+    assert CERT_SQRT_MINUS_ONE**2 % CERT_PRIME == CERT_PRIME - 1
+
+
+@pytest.fixture
+def exact_path_calls(monkeypatch):
+    """Counts the exact eliminations that nullspace runs."""
+    calls = []
+    echelon = linalg._echelon
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    return calls
+
+
+def _det_p_times_one_plus_i():
+    """A 3x3 over Q(i) with det = CERT_PRIME * (1+i) / 3, invertible but singular mod p."""
+    p, i = CERT_PRIME, scalar("i")
+    upper = [[ONE, scalar(2), i], [ZERO, ONE + i, scalar(3)], [ZERO, ZERO, scalar(p)]]
+    lower = [[ONE, ZERO, ZERO], [scalar(2), ONE, ZERO], [scalar(-1), i, ONE]]  # det 1
+    m = [[sum((lower[r][k] * upper[k][c] for k in range(3)), ZERO) for c in range(3)] for r in range(3)]
+    m[1] = [x / 3 for x in m[1]]  # row scaling must not hide the prime
+    return m
+
+
+@pytest.mark.parametrize(
+    "m",
+    [parse_matrix([[1, 0], [0, CERT_PRIME]]), _det_p_times_one_plus_i()],
+    ids=["diag(1,p)", "det=p(1+i)/3"],
+)
+def test_invertible_matrix_singular_mod_p_takes_exact_path(m, exact_path_calls):
+    assert oracle_rref.rank(m) == len(m)
+    assert nullspace(m) == []
+    assert exact_path_calls == [len(m)]
+
+
+def test_generic_invertible_matrix_is_decided_by_the_certificate(exact_path_calls):
+    assert nullspace(parse_matrix([[2, 1], [1, 3]])) == []
+    assert exact_path_calls == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [2, 4, 6], [1, 1, 1]],  # square, nullity 1
+        [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]],  # tall, nullity 2
+        [[CERT_PRIME, 1], [CERT_PRIME * 2, 2]],  # singular with a multiple of p
+        [[0, 0], [0, 0]],  # zero matrix, nullity 2
+    ],
+)
+def test_singular_matrix_returns_its_full_kernel(rows, exact_path_calls):
+    m = parse_matrix(rows)
+    basis = nullspace(m)
+    assert basis == oracle_rref.nullspace(m)
+    assert len(basis) == len(m[0]) - oracle_rref.rank(m) > 0
+    assert exact_path_calls == [len(m)]

@@ -4,7 +4,9 @@ Expected matrices below were frozen from the oracle (tests/oracle_dense.py)
 after validating it on hand-derived one- and two-factor words.  The
 worklist oracle (tests/oracle_worklist.py) checks the engine at small
 depths; the Kac determinant checks radicals at depths the worklist
-oracle cannot reach in a test budget.
+oracle cannot reach in a test budget (trivial B through depth 10), and
+`split 2` quotient dimensions are checked as convolutions of the two
+Virasoro factors' at depth 6.
 """
 
 from fractions import Fraction
@@ -355,6 +357,43 @@ def test_kac_generic_weight_has_no_radical_through_level_8():
     assert h not in kac_zeros
     vm = VermaModule(TRIV, hw_c(str(-h), str(KAC_C)), 8)
     assert [vm.radical_dim(k) for k in range(9)] == [0] * 9
+
+
+def _first_kac_level(h, t, depth):
+    """Smallest rs <= depth with h_{r,s}(t) = h: the first level where the Kac determinant vanishes."""
+    zeros = [r * s for r in range(1, depth + 1) for s in range(1, depth // r + 1) if _kac_h(r, s, t) == h]
+    return min(zeros, default=None)
+
+
+WIDE_T = Fraction(3)
+WIDE_C = 13 - 6 * (WIDE_T + 1 / WIDE_T)
+
+
+@pytest.mark.parametrize("r,s", [(1, 9), (3, 3), (5, 2), (10, 1)])
+def test_kac_radical_first_appears_at_rs_depth_10(r, s):
+    h = _kac_h(r, s, WIDE_T)
+    assert _first_kac_level(h, WIDE_T, 10) == r * s
+    vm = VermaModule(TRIV, hw_c(str(-h), str(WIDE_C)), 10)
+    radical = [vm.radical_dim(k) for k in range(11)]
+    assert radical[: r * s] == [0] * (r * s)
+    assert radical[r * s] > 0
+
+
+def test_split2_quotient_dims_are_convolution_of_virasoro_factors():
+    # V(φ) for split 2 is the tensor product of one Virasoro quotient per idempotent
+    factors = [(-_kac_h(1, 2, KAC_T), KAC_C), (-_kac_h(3, 1, WIDE_T), WIDE_C)]
+    assert _first_kac_level(-factors[0][0], KAC_T, 6) == 2
+    assert _first_kac_level(-factors[1][0], WIDE_T, 6) == 3
+    per_factor = [
+        [VermaModule(TRIV, hw_c(str(d0), str(c)), 6).vphi_dim(k) for k in range(7)]
+        for d0, c in factors
+    ]
+    split = builtin_algebra("split 2")
+    hw = HighestWeight(split, [str(d0) for d0, _ in factors], [str(c) for _, c in factors])
+    vm = VermaModule(split, hw, 6)
+    expected = [sum(per_factor[0][a] * per_factor[1][k - a] for a in range(k + 1)) for k in range(7)]
+    assert [vm.vphi_dim(k) for k in range(7)] == expected
+    assert expected != [len(pbw_monomials(2, k)) for k in range(7)]  # both factors degenerate
 
 
 def test_quotient_irreducibility_generic():
