@@ -121,11 +121,32 @@ def _add_depth(p, default=2):
     p.add_argument("--depth", type=int, default=default, help="truncation depth of the Verma factor")
 
 
+class _WindowAction(argparse.Action):
+    """Store [KMIN, KMAX], rejecting a reversed window as invalid input."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        kmin, kmax = values
+        if kmin > kmax:
+            raise argparse.ArgumentError(self, f"kmin {kmin} exceeds kmax {kmax}")
+        setattr(namespace, self.dest, values)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_window(p, default=(-6, 6)):
     p.add_argument(
         "--window",
         nargs=2,
         type=int,
+        action=_WindowAction,
         default=list(default),
         metavar=("KMIN", "KMAX"),
         help="index window of the intermediate factor",
@@ -405,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     _add_window(p, default=(-8, 8))
-    p.add_argument("--degree", type=int, default=4, help="degree bound for the closure scan")
+    p.add_argument("--degree", type=_positive_int, default=4, help="degree bound for the closure scan (≥ 1)")
     p.set_defaults(func=_cmd_int_module)
 
     p = sub.add_parser("verma", help="truncated Verma module: dimensions, form ranks, radicals")

@@ -12,8 +12,10 @@ remaining degenerate pair (α,β) = (0,0) the module keeps index set
 Z - {0}, discarding any v_0 component an action produces.
 
 Vectors are sparse dicts {k: coefficient}.  Actions are exact and
-unwindowed; finite windows appear only in the submodule-closure oracle,
-which truncates to keep iteration monotone.
+unwindowed.  Finite windows appear only in the two closure scans:
+`submodule_closure`, a span elimination that truncates to the window to
+keep iteration monotone, and `closure_is_full`, which decides the same
+question for single seeds v_k by reachability on window indices.
 """
 
 from __future__ import annotations
@@ -169,13 +171,47 @@ class IntModule:
         return span.vectors(), {k for k in span.support()}
 
     def closure_is_full(self, kmin: int, kmax: int, max_degree: int) -> bool:
-        """True iff the closure of every single v_k fills the whole window."""
-        full = len(self.window_indices(kmin, kmax))
-        for k in self.window_indices(kmin, kmax):
-            basis, _ = self.submodule_closure([self.basis_vector(k)], kmin, kmax, max_degree)
-            if len(basis) < full:
-                return False
-        return True
+        """True iff the closure of every single v_k fills the whole window.
+
+        Decided by reachability on indices, not by span elimination: d_n
+        maps v_k to (α + k + nβ)·v_{k+n}, a multiple of one basis vector, so
+        the span of the basis vectors reachable from v_k is invariant and
+        any invariant span containing v_k contains each of them.  The
+        closure of v_k (as `submodule_closure` computes it) is therefore
+        spanned by the v_j that v_k reaches along edges k → k+n with
+        0 < |n| ≤ max_degree, α + k + nβ ≠ 0 and k+n an allowed index in
+        the window.  The window is full when every index reaches every
+        other, i.e. when one index reaches all and is reached by all.
+        """
+        indices = self.window_indices(kmin, kmax)
+        if len(indices) < 2:
+            raise ValueError(
+                f"window [{kmin}, {kmax}] holds fewer than 2 allowed indices"
+            )
+        p = self.params
+        inside = set(indices)
+        forward: dict[int, list[int]] = {k: [] for k in indices}
+        backward: dict[int, list[int]] = {k: [] for k in indices}
+        for k in indices:
+            for n in range(-max_degree, max_degree + 1):
+                if n and k + n in inside and p.alpha + scalar(k) + scalar(n) * p.beta:
+                    forward[k].append(k + n)
+                    backward[k + n].append(k)
+        return all(
+            len(_reachable(indices[0], edges)) == len(indices)
+            for edges in (forward, backward)
+        )
+
+
+def _reachable(start: int, edges: dict[int, list[int]]) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in edges[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def prime_module(alpha, beta, psi: CharacterPsi | None = None) -> IntModule:

@@ -167,32 +167,40 @@ class TensorModule:
         isolating a target at index k needs companion pure tensors with
         indices down to k - depth; seeds with m in [kmin-depth, kmax+depth]
         cover every such chain.
+
+        The span is built in budget layers: layer b is a basis of the span
+        of all words of total degree exactly b applied to the seeds, which
+        is the sum over n ≤ b and j of d_{-n}⊗e_j applied to layer b-n.
+        Every layer is expanded in full, so an image already in the span of
+        lower layers still carries its own remaining budget.
         """
         if depth > self.verma.depth:
             raise DepthExceededError(
                 f"generation check at depth {depth} needs Verma depth ≥ {depth}"
             )
-        span = SpanBasis()
-        queue: list[tuple[TensorVector, int]] = []
-        for m in range(kmin - depth, kmax + depth + 1):
-            if not self.intermediate.allowed_index(m):
-                continue
-            vec = self.seed(m)
-            if span.add(dict(vec)):
-                queue.append((vec, 0))
-        gens = [
-            Generator(KIND_D, -n, self.algebra.basis_elem(j))
+        layers = [[
+            self.seed(m)
+            for m in range(kmin - depth, kmax + depth + 1)
+            if self.intermediate.allowed_index(m)
+        ]]
+        gens = {
+            n: [Generator(KIND_D, -n, self.algebra.basis_elem(j)) for j in range(self.algebra.dim)]
             for n in range(1, depth + 1)
-            for j in range(self.algebra.dim)
-        ]
-        while queue:
-            vec, used = queue.pop()
-            for gen in gens:
-                if used + (-gen.degree) > depth:
-                    continue
-                img = self.act(gen, vec)
-                if img and span.add(dict(img)):
-                    queue.append((img, used + (-gen.degree)))
+        }
+        for b in range(1, depth + 1):
+            layer_span = SpanBasis()
+            layer = []
+            for n in range(1, b + 1):
+                for vec in layers[b - n]:
+                    for gen in gens[n]:
+                        img = self.act(gen, vec)
+                        if img and layer_span.add(img):
+                            layer.append(img)
+            layers.append(layer)
+        span = SpanBasis()
+        for layer in layers:
+            for vec in layer:
+                span.add(vec)
         for i in range(depth + 1):
             for mono in self.verma.quotient_monomials(i):
                 for k in range(kmin, kmax + 1):

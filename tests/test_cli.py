@@ -352,6 +352,72 @@ def test_cli_tensor_generation(capsys):
     assert out["weight_space_dims"]["0"] == 2
 
 
+def test_cli_tensor_generation_budget_layers_regression(capsys):
+    # an image already in the span may still carry budget to expand; the
+    # span of every negative word of depth <= 2 fills this truncation
+    code = main(
+        [
+            "tensor",
+            "--algebra", "split 2",
+            "--phi-d0", "0", "1",
+            "--psi", "1", "0",
+            "--alpha", "1/2",
+            "--beta", "1/3",
+            "--depth", "2",
+            "--window", "-3", "3",
+        ]
+    )
+    assert code == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["generated_by_pure_tensors"] is True
+
+
+WINDOW_COMMANDS = {
+    "int-module": ["int-module", "--alpha", "1/2", "--beta", "1/3"],
+    "tensor": ["tensor", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "1/3"],
+    "cor31": ["cor31", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "1/3", "--b", "e0"],
+    "psi-sep": [
+        "psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1",
+        "--psi1", "1", "0", "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3",
+    ],
+    "iso-check": [
+        "iso-check", "--algebra", "split 2",
+        "--phi1-d0", "0", "1", "--psi1", "1", "0", "--alpha1", "1/2", "--beta1", "1/3",
+        "--phi2-d0", "0", "1", "--psi2", "0", "1", "--alpha2", "1/2", "--beta2", "1/3",
+        "--refute",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WINDOW_COMMANDS))
+def test_cli_reversed_window_is_config_error(command, capsys):
+    assert main(WINDOW_COMMANDS[command] + ["--window", "8", "-8"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kmin 8 exceeds kmax -8" in captured.err
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_cli_int_module_degree_below_one_is_config_error(degree, capsys):
+    code = main(["int-module", "--alpha", "1/2", "--beta", "1/3", "--degree", degree])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--degree: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, kmin, kmax",
+    [("0", "0", "0", "0"), ("0", "0", "0", "1"), ("1/2", "1/3", "3", "3")],
+)
+def test_cli_int_module_window_below_two_indices_is_config_error(alpha, beta, kmin, kmax, capsys):
+    # at (0,0) the normalized module has index set Z-0, so [0, 0] is empty
+    code = main(["int-module", "--alpha", alpha, "--beta", beta, "--window", kmin, kmax])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fewer than 2 allowed indices" in captured.err
+
+
 def test_cli_endo_probe_pass(capsys):
     code = main(
         [

@@ -115,6 +115,46 @@ def test_closure_oracle_agrees_with_predicate_on_grid():
             assert m.closure_is_full(-12, 12, 6) == expect, (alpha, beta)
 
 
+def _closure_scan_by_span(m, kmin, kmax, max_degree):
+    """The span-elimination scan: every seed's submodule_closure fills the window."""
+    full = len(m.window_indices(kmin, kmax))
+    return all(
+        len(m.submodule_closure([m.basis_vector(k)], kmin, kmax, max_degree)[0]) == full
+        for k in m.window_indices(kmin, kmax)
+    )
+
+
+def test_closure_is_full_equals_span_closure_oracle():
+    alphas = [ZERO, ONE, scalar(-2), scalar("1/2"), I, scalar("1+i")]
+    betas = [ZERO, ONE, scalar("1/2"), I]
+    windows = [
+        (-2, 2, 1),  # degree 1: in Z-0 the window splits at 0
+        (1, 4, 2),  # no index 0
+        (-4, -2, 1),
+        (-1, 2, 5),  # degree above the window width
+    ]
+    verdicts = set()
+    for alpha in alphas:
+        for beta in betas:
+            for index_set in (INDEX_ALL, INDEX_NONZERO):
+                m = module(alpha, beta, index_set)
+                for kmin, kmax, degree in windows:
+                    want = _closure_scan_by_span(m, kmin, kmax, degree)
+                    got = m.closure_is_full(kmin, kmax, degree)
+                    assert got == want, (alpha, beta, index_set, kmin, kmax, degree)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "index_set, kmin, kmax",
+    [(INDEX_ALL, 3, 3), (INDEX_NONZERO, 0, 0), (INDEX_NONZERO, 0, 1), (INDEX_ALL, 2, 1)],
+)
+def test_closure_is_full_rejects_window_below_two_indices(index_set, kmin, kmax):
+    with pytest.raises(ValueError, match="fewer than 2 allowed indices"):
+        module(0, 0, index_set).closure_is_full(kmin, kmax, 4)
+
+
 def test_prime_module_normalization():
     m = prime_module("7/3", 1)
     assert m.params.alpha == scalar("1/3")

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from virloop.coeff_algebra import CharacterPsi, split_algebra, trivial_algebra
 from virloop.intermediate import INDEX_NONZERO, IntModule, IntParams, prime_module
+from virloop.linalg import SpanBasis
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.tensor_product import TensorModule
 from virloop.verma import DepthExceededError, HighestWeight, VermaModule
-from virloop.virasoro import LieElement, c_gen, d_gen
+from virloop.virasoro import KIND_D, Generator, LieElement, c_gen, d_gen
 
 TRIV = trivial_algebra()
 PSI1 = CharacterPsi(TRIV, [1])
@@ -185,6 +186,57 @@ def test_generation_check_degenerate_pair():
     tm = TensorModule(vm, im)
     assert im.index_set == INDEX_NONZERO
     assert tm.generation_check(2, -3, 3)
+
+
+def _span_of_all_words_contains_truncation(tm, depth, kmin, kmax):
+    """Apply every ordered word of d_{-n}⊗e_j with total degree ≤ depth to
+    the seeds v_φ⊗v_m, m in [kmin-depth, kmax+depth], and test the span."""
+    span = SpanBasis()
+    gens = [
+        (n, Generator(KIND_D, -n, tm.algebra.basis_elem(j)))
+        for n in range(1, depth + 1)
+        for j in range(tm.algebra.dim)
+    ]
+
+    def walk(vec, used):
+        span.add(vec)
+        for n, gen in gens:
+            if used + n <= depth:
+                img = tm.act(gen, vec)
+                if img:
+                    walk(img, used + n)
+
+    for m in range(kmin - depth, kmax + depth + 1):
+        if tm.intermediate.allowed_index(m):
+            walk(tm.seed(m), 0)
+    return all(
+        span.contains({(i, mono, k): ONE})
+        for i in range(depth + 1)
+        for mono in tm.verma.quotient_monomials(i)
+        for k in range(kmin, kmax + 1)
+        if tm.intermediate.allowed_index(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra, d0, c, psi, alpha, beta, depth",
+    [
+        # the budget false negative: the seed set of the CLI reproducer
+        ("split 2", ["0", "1"], ["0", "0"], ["1", "0"], "1/2", "1/3", 2),
+        ("split 2", ["1", "0"], ["1", "-2"], ["0", "1"], "1/2", "1/2", 2),
+        ("split 2", ["0", "1"], ["0", "0"], ["1", "0"], "0", "0", 2),
+        ("split 2", ["1/2", "1/3"], ["0", "0"], ["1", "0"], "i", "0", 2),
+        ("trivial", ["1/2"], ["1"], ["1"], "1/2", "1/3", 3),
+        ("trivial", ["0"], ["0"], ["1"], "0", "1", 2),
+    ],
+)
+def test_generation_check_equals_span_of_all_words(algebra, d0, c, psi, alpha, beta, depth):
+    B = split_algebra(2) if algebra == "split 2" else TRIV
+    vm = VermaModule(B, HighestWeight(B, d0, c), depth)
+    im = prime_module(alpha, beta, CharacterPsi(B, psi))
+    tm = TensorModule(vm, im)
+    want = _span_of_all_words_contains_truncation(tm, depth, -3, 3)
+    assert tm.generation_check(depth, -3, 3) == want
 
 
 def test_act_words_linear_combination():
