@@ -37,10 +37,9 @@ free column), is unique, so it does not depend on how it was computed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
-from .scalars import GaussianRational, ONE, ZERO, scalar
+from .scalars import GaussianRational, ONE, ZERO, from_parts, parts, scalar
 
 Matrix = list[list[GaussianRational]]
 SparseVec = dict
@@ -54,9 +53,10 @@ def _scaled(matrix: Matrix) -> tuple[list[list[int]], list[list[int]] | None]:
     """Rows times the lcm of their denominators: (real parts, imaginary parts or None if all real)."""
     re_rows, im_rows = [], []
     for row in matrix:
-        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-        re_rows.append([x.re.numerator * (den // x.re.denominator) for x in row])
-        im_rows.append([x.im.numerator * (den // x.im.denominator) for x in row])
+        triples = [parts(x) for x in row]
+        den = lcm(*(d for _, _, d in triples))
+        re_rows.append([a * (den // d) for a, _, d in triples])
+        im_rows.append([b * (den // d) for _, b, d in triples])
     return re_rows, (im_rows if any(any(r) for r in im_rows) else None)
 
 
@@ -141,11 +141,8 @@ def _entry(re_rows, im_rows, r: int, c: int, d) -> GaussianRational:
     n_re, n_im = re_rows[r][c], im_rows[r][c] if im_rows else 0
     d_re, d_im = d
     if not d_im:
-        return GaussianRational(Fraction(n_re, d_re), Fraction(n_im, d_re))
-    norm = d_re * d_re + d_im * d_im
-    return GaussianRational(
-        Fraction(n_re * d_re + n_im * d_im, norm), Fraction(n_im * d_re - n_re * d_im, norm)
-    )
+        return from_parts(n_re, n_im, d_re)
+    return from_parts(n_re * d_re + n_im * d_im, n_im * d_re - n_re * d_im, d_re * d_re + d_im * d_im)
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
@@ -218,6 +215,19 @@ class SpanBasis:
     def __init__(self, key=None):
         self._key = key
         self._rows: dict[object, SparseVec] = {}
+
+    @classmethod
+    def from_echelon(cls, rows: list[SparseVec]) -> "SpanBasis":
+        """A basis of rows that are already canonical, stored without eliminating again.
+
+        Each row's pivot is its smallest coordinate, with coefficient 1 and
+        absent from every other row: the nonzero rows of a reduced row
+        echelon form whose columns follow the coordinate order.
+        """
+        basis = cls()
+        for row in rows:
+            basis._rows[min(row)] = row
+        return basis
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from .coeff_algebra import AlgebraB, BElem
-from .linalg import SpanBasis, nullspace
+from .linalg import SpanBasis, nullspace, rref
 from .scalars import GaussianRational, ONE, ZERO, scalar
 from .virasoro import Generator, KIND_C, KIND_D, WordSum, central_charge_term
 
@@ -256,9 +256,11 @@ class VermaModule:
                 for mono, c in self._action.gen(a, j, monos[s]).items():
                     acc = acc + c * row_below[below.index[mono]]
                 gram[r][s] = gram[s][r] = acc
-        radical = SpanBasis()
-        for ker in nullspace(gram):
-            radical.add({monos[i]: c for i, c in enumerate(ker) if c})
+        # monos is sorted, so the RREF of the kernel is the canonical SpanBasis
+        kernel_rows, _ = rref(nullspace(gram))
+        radical = SpanBasis.from_echelon(
+            [{monos[i]: c for i, c in enumerate(row) if c} for row in kernel_rows]
+        )
         pivots = radical.pivots()
         quotient = [m for m in monos if m not in pivots]
         return _LevelData(monos, index, gram, radical, quotient)

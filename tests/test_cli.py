@@ -1,5 +1,6 @@
 """Config validation, report determinism, fixture dumps, and CLI exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -586,3 +587,101 @@ def test_cli_k_beyond_depth_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(tensor_config(probes=[{"kind": "endo", "m": 0, "k": 4}])))
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert "probes[0].k" in capsys.readouterr().err
+
+
+# -- golden outputs -------------------------------------------------------------------
+
+# SHA-256 of stdout and the exit code of each README command-line example and
+# of the bundled demo run (about 150 KB of output in all, so digests rather
+# than files).  A change that only makes the engine faster must leave every
+# byte alone; a deliberate change of output updates the digest here.
+GOLDEN_CLI = [
+    (
+        ["int-module", "--alpha", "0", "--beta", "1", "--window", "-8", "8", "--degree", "4"],
+        EXIT_PASS,
+        "2c1994b97a77f23aa9b1a0d66dbfb199c5b504abf2f56378087dc21dad85f13c",
+    ),
+    (
+        ["verma", "--algebra", "split 2", "--phi-d0", "0", "1", "--phi-c", "0", "0",
+         "--depth", "3", "--irreducibility"],
+        EXIT_PASS,
+        "309b9a9ce2a34be2a6ed12faa09c81829a81000a580dc05b609cb1551d3fdbfb",
+    ),
+    (
+        ["tensor", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "1/3",
+         "--depth", "2", "--window", "-4", "4"],
+        EXIT_PASS,
+        "91b2fdc1f75da0c28dfc1886d96dbbfa24bf01f9f7ad00ffe3030ead87927be3",
+    ),
+    (
+        ["endo-probe", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi", "1", "0",
+         "--alpha", "1/2", "--beta", "1/3", "--depth", "2", "--m", "0", "--k", "2"],
+        EXIT_PASS,
+        "24014851d8f4d8d9ab0ade8f7b1d9f10ff035e2de5aa4a6ec9f4464fa2dc602f",
+    ),
+    (
+        ["x-probe", "--case", "I", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2",
+         "--beta", "2", "--depth", "1", "--b", "e0", "--m", "1", "--n", "1"],
+        EXIT_PASS,
+        "79ae6a741d9f12a4b56088589643dc09894a5c12111b14f73e01aabc1b0eb10b",
+    ),
+    (
+        ["cor31", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi", "1", "0",
+         "--alpha", "1/2", "--beta", "1/3", "--depth", "1", "--window", "-8", "8", "--b", "e0"],
+        EXIT_PASS,
+        "eabe27c8372490a25e8c04962dd1d3f4d08647dfafc37349855d77cc15629aad",
+    ),
+    (
+        ["psi-sep", "--algebra", "split 2", "--phi-d0", "1", "2", "--psi1", "1", "0",
+         "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--depth", "1",
+         "--window", "-2", "2"],
+        EXIT_PASS,
+        "9682533692ef5d53e87c22da2f84790e9f0293f0e4741eaf8d35ce7503c68f4b",
+    ),
+    (
+        ["iso-coeffs", "--A", "1", "--b1", "2", "--Q", "1", "--b2", "3"],
+        EXIT_PASS,
+        "e58dcd79d81fe69376e8a70197eea2fedc6b96e423734ccfa030f15844ed6a65",
+    ),
+    (
+        ["iso-check", "--algebra", "split 2",
+         "--phi1-d0", "0", "1", "--psi1", "1", "0", "--alpha1", "1/2", "--beta1", "1/3",
+         "--phi2-d0", "0", "1", "--psi2", "0", "1", "--alpha2", "1/2", "--beta2", "1/3",
+         "--refute"],
+        EXIT_FAIL,
+        "480ba548f0bc6d427766346f58a32d99d54ec455526b587d0fcbd1de667e0641",
+    ),
+    (
+        ["run", "cor31-split"],
+        EXIT_PASS,
+        "ec73fcc7600ae212c3d8132656018bcacd83413c9d2e6b08aa942642cd07999e",
+    ),
+]
+
+# SHA-256 of each file `virloop fixtures cor31-split --out DIR` writes.
+GOLDEN_FIXTURES = {
+    "actions.csv": "ef11a5f8c87a42c1e214661ceb3298bb37d2f1a997ab9711ec6a45e165acd55b",
+    "gram_level_1.csv": "e28cd81d264485a88433fd0f4e94d49db0d8e0b2b6785f07878e3088cc1eb5ef",
+    "gram_level_2.csv": "29fddeca4300bdee442bbc488dc52f737f102969ccd5b943a28a5923e54ba719",
+    "radical_level_1.csv": "9d991cf4e01b5303c13baf4f6e5dac8233785f854c18ab1018e5da4988662211",
+    "radical_level_2.csv": "582f8667ca71a40b68dbe9929c0b0254e3e11d88f91c089f5c35c56ca904eeac",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_CLI, ids=[argv[0] for argv, _, _ in GOLDEN_CLI]
+)
+def test_cli_golden_stdout(argv, code, digest, capsys):
+    assert main(argv) == code
+    assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+def test_cli_golden_fixture_files(tmp_path, capsys):
+    assert main(["fixtures", "cor31-split", "--out", str(tmp_path)]) == EXIT_PASS
+    capsys.readouterr()
+    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.glob("*.csv"))}
+    assert digests == GOLDEN_FIXTURES

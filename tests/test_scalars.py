@@ -1,12 +1,26 @@
 """Field arithmetic, parsing, and weight normalization for Gaussian rationals."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virloop.scalars import I, ONE, ZERO, GaussianRational, normalize_alpha, scalar
+import oracle_rref
+import oracle_scalars as oracle
+from virloop import linalg
+from virloop.scalars import (
+    I,
+    ONE,
+    ZERO,
+    GaussianRational,
+    from_parts,
+    normalize_alpha,
+    parts,
+    scalar,
+)
 
 
 def gr(re, im=0):
@@ -104,3 +118,161 @@ def test_normalize_alpha_idempotent(a):
 @given(gaussians)
 def test_str_round_trip(a):
     assert scalar(str(a)) == a
+
+
+# -- hash and equality agree ---------------------------------------------------------
+
+
+def test_real_values_hash_like_int_and_fraction():
+    assert hash(scalar(3)) == hash(3)
+    assert hash(scalar(-7)) == hash(-7)
+    assert hash(scalar("1/2")) == hash(Fraction(1, 2))
+    assert hash(ZERO) == hash(0)
+    assert {scalar(3): 1}[3] == 1
+    assert {scalar("1/2"): 1}[Fraction(1, 2)] == 1
+    assert {3: 1}[scalar(3)] == 1
+
+
+# -- the integer-triple engine against the Fraction-pair oracle ----------------------
+
+BIG = 2**64
+numerators = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-(BIG**2), BIG**2),
+    st.sampled_from([0, BIG + 1, -(BIG + 3)]),
+)
+denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12]),  # shared denominators are common
+    st.integers(1, BIG**2),
+)
+
+
+@st.composite
+def pairs(draw):
+    """(re, im) Fractions; real, purely imaginary and zero values included."""
+    den = draw(denominators)
+    re = Fraction(draw(numerators), den)
+    im = Fraction(draw(numerators), den)
+    shape = draw(st.sampled_from(["complex", "real", "imaginary", "zero"]))
+    if shape in ("real", "zero"):
+        im = Fraction(0)
+    if shape in ("imaginary", "zero"):
+        re = Fraction(0)
+    return re, im
+
+
+@st.composite
+def operands(draw):
+    """(engine operand, oracle operand): both scalars, or the same int or Fraction."""
+    kind = draw(st.sampled_from(["scalar", "scalar", "int", "fraction"]))
+    if kind == "int":
+        n = draw(numerators)
+        return n, n
+    if kind == "fraction":
+        q = Fraction(draw(numerators), draw(denominators))
+        return q, q
+    re, im = draw(pairs())
+    return GaussianRational(re, im), oracle.GaussianRational(re, im)
+
+
+def assert_same(x, o):
+    """x is canonical and equals the oracle's value o, read and printed the same way."""
+    assert isinstance(x, GaussianRational)
+    a, b, d = parts(x)
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (x.re, x.im) == (o.re, o.im)
+    assert x == GaussianRational(o.re, o.im)
+    assert str(x) == str(o) and repr(x) == repr(o)
+    assert bool(x) == bool(o) and x.is_zero() == o.is_zero()
+    assert x.is_integer() == o.is_integer()
+    if not o.im:
+        assert hash(x) == hash(o.re)
+
+
+def assert_same_outcome(fn, engine_args, oracle_args):
+    """fn gives the oracle's value on the engine's operands, or raises ZeroDivisionError as it does."""
+    try:
+        want = fn(*oracle_args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fn(*engine_args)
+    else:
+        assert_same(fn(*engine_args), want)
+
+
+BINARY = [
+    operator.add,
+    operator.sub,
+    operator.mul,
+    operator.truediv,
+    lambda x, y: y + x,
+    lambda x, y: y - x,
+    lambda x, y: y * x,
+    lambda x, y: y / x,
+]
+
+
+@settings(max_examples=400)
+@given(pairs(), operands())
+def test_every_operation_equals_fraction_pair_oracle(x_parts, y):
+    x, ox = GaussianRational(*x_parts), oracle.GaussianRational(*x_parts)
+    y, oy = y
+    assert_same(x, ox)
+    for op in BINARY:
+        assert_same_outcome(op, (x, y), (ox, oy))
+    assert (x == y) == (ox == oy) and (y == x) == (oy == ox)
+    assert (x != y) == (ox != oy)
+    assert_same(-x, -ox)
+    assert_same(x.conjugate(), ox.conjugate())
+    for n in range(-3, 4):
+        assert_same_outcome(operator.pow, (x, n), (ox, n))
+    (x0, m), (ox0, om) = normalize_alpha(x), oracle.normalize_alpha(ox)
+    assert m == om
+    assert_same(x0, ox0)
+    assert_same(scalar(str(ox)), ox)
+    if not isinstance(oy, oracle.GaussianRational):
+        assert_same(scalar(y), oracle.scalar(oy))
+
+
+@given(st.text(alphabet="0123456789/+-*i ", max_size=12))
+def test_scalar_parsing_equals_oracle(text):
+    try:
+        want = oracle.scalar(text)
+    except (ValueError, ZeroDivisionError) as err:
+        with pytest.raises(type(err)):
+            scalar(text)
+    else:
+        assert_same(scalar(text), want)
+
+
+def test_from_parts_fixes_sign_and_reduces():
+    assert parts(from_parts(2, -4, -6)) == (-1, 2, 3)
+    assert parts(from_parts(0, 0, -5)) == (0, 0, 1)
+    assert from_parts(BIG * 3, 0, BIG * 6) == scalar("1/2")
+    with pytest.raises(ZeroDivisionError):
+        from_parts(1, 0, 0)
+
+
+def _oracle_entries(rows):
+    return [[(x.re, x.im) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [["-3", "1"]],  # real pivot D = -3
+        [["-2", "1", "5"], ["4", "-1", "0"]],  # last real pivot negative
+        [["-i", "1"]],  # Gaussian pivot D = -i
+        [["-1-2i", "3", "i"], ["2", "-5", "1/3"]],
+    ],
+)
+def test_linalg_results_are_canonical_after_a_negative_pivot(matrix):
+    m = linalg.parse_matrix(matrix)
+    rows, pivots = linalg.rref(m)
+    want_rows, want_pivots = oracle_rref.rref(m)
+    assert pivots == want_pivots
+    assert _oracle_entries(rows) == _oracle_entries(want_rows)
+    results = [x for row in rows for x in row] + [x for v in linalg.nullspace(m) for x in v]
+    for x in results:
+        a, b, d = parts(x)
+        assert d > 0 and math.gcd(a, b, d) == 1

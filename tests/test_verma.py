@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracle_dense import DenseOracle, oracle_monomials
 from oracle_worklist import worklist_act, worklist_gram
 from virloop.coeff_algebra import builtin_algebra, trivial_algebra, truncated_poly
+from virloop.linalg import SpanBasis, nullspace
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.verma import (
     DepthExceededError,
@@ -319,6 +320,22 @@ def test_engine_matches_worklist_oracle(name, depth, d0, c):
                     continue
                 want = vm.vphi_reduce(target, worklist_act(hw, gen, mono))
                 assert vm.act_on_vphi(gen, k, {mono: ONE}) == (target, want), (k, mono, gen)
+
+
+@pytest.mark.parametrize(
+    "name,depth,d0,c",
+    WORKLIST_CASES + [("trivial", 8, ["-3/8"], ["-2"])],  # Kac (2,2) at t = 2: nullity 1-5 at levels 4-8
+)
+def test_radical_basis_equals_incremental_span_of_kernel(name, depth, d0, c):
+    algebra = builtin_algebra(name)
+    vm = VermaModule(algebra, HighestWeight(algebra, d0, c), depth)
+    for k in range(depth + 1):
+        monos = vm.pbw_basis(k)
+        span = SpanBasis()
+        for ker in nullspace(vm.gram(k)):
+            span.add({monos[i]: x for i, x in enumerate(ker) if x})
+        assert vm.radical_basis(k) == span.vectors(), k
+        assert vm.quotient_monomials(k) == [m for m in monos if m not in span.pivots()], k
 
 
 def test_upper_triangle_gram_matches_dense_oracle_split2():
