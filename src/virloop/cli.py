@@ -4,7 +4,11 @@ Subcommands fall into three groups: module inspectors (`int-module`,
 `verma`, `tensor`) that print dimension and closure tables, probe runners
 (`endo-probe`, `x-probe`, `cor31`, `psi-sep`, `iso-coeffs`, `iso-check`)
 that emit one JSON certificate each, and batch plumbing (`run`,
-`fixtures`) driven by a JSON config file.
+`fixtures`) driven by a JSON config file.  The layer is thin: a handler
+turns its flags into the `RunConfig` and probe descriptor a config would
+hold, and `virloop.config` builds the modules and runs the probe, so a
+probe subcommand prints exactly the certificate of the matching one-probe
+`run`.
 
 Exit codes: 0 every check passed, 1 a verified claim failed, 2 the stated
 hypotheses exclude the given parameters, 3 the input itself was invalid,
@@ -14,51 +18,43 @@ hypotheses exclude the given parameters, 3 the input itself was invalid,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
+from dataclasses import replace
 from importlib import resources
 
-from .coeff_algebra import CharacterPsi
 from .config import (
     ConfigError,
     RunConfig,
     _scalar_field,
-    _scalar_list,
     algebra_field,
     belem_field,
-    default_weight_vector,
+    build_modules,
+    execute_probe,
     fixture_dump,
+    hw_field,
     iso_coeffs_cert,
+    level_table,
     load_config,
     psi_field,
     report_json,
     run_config,
+    weight_space_dims,
 )
-from .intermediate import (
-    INDEX_ALL,
-    INDEX_NONZERO,
-    IntModule,
-    IntParams,
-    is_irreducible_int,
-    prime_module,
-)
+from .intermediate import INDEX_ALL, IntModule, IntParams, is_irreducible_int, prime_module
 from .probes import (
     STATUS_FAIL,
     STATUS_PASS,
     STATUS_UNSATISFIABLE,
     ProbeCertificate,
-    depth_reduction_probe,
-    endo_probe,
     iso_check,
     iso_differences,
     iso_signature,
     psi_separation,
-    pure_tensor_ladder_check,
 )
-from .scalars import ZERO
-from .tensor_product import TensorModule
-from .verma import DepthExceededError, HighestWeight, VermaModule
+from .verma import DepthExceededError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -156,30 +152,24 @@ def _add_window(p, default=(-6, 6)):
 # -- construction helpers ------------------------------------------------------
 
 
-def _hw_from(algebra, d0_list, c_list, path="phi"):
-    d0 = _scalar_list(list(d0_list), f"--{path}-d0", expected_len=algebra.dim)
-    if c_list is None:
-        c = [ZERO] * algebra.dim
-    else:
-        c = _scalar_list(list(c_list), f"--{path}-c", expected_len=algebra.dim)
-    return HighestWeight(algebra, d0, c)
+def _spec(args) -> RunConfig:
+    """The module spec the shared flags declare; `--psi` adds the intermediate factor."""
+    algebra = algebra_field(args.algebra, "--algebra")
+    hw = hw_field(algebra, args.phi_d0, args.phi_c, "--phi-d0", "--phi-c")
+    cfg = RunConfig(algebra, hw, None, None, None, args.depth)
+    if "psi" in args:
+        cfg.psi = psi_field(algebra, args.psi, "--psi")
+        cfg.alpha = _scalar_field(args.alpha, "--alpha")
+        cfg.beta = _scalar_field(args.beta, "--beta")
+    if "window" in args:
+        cfg.window = tuple(args.window)
+    return cfg
 
 
 def _belem_cli(algebra, text, path="--b"):
     if "," in text:
         return belem_field(algebra, [s.strip() for s in text.split(",")], path)
     return belem_field(algebra, text, path)
-
-
-def _tensor_from(args) -> TensorModule:
-    algebra = algebra_field(args.algebra, "--algebra")
-    hw = _hw_from(algebra, args.phi_d0, args.phi_c)
-    psi = psi_field(algebra, list(args.psi), "--psi")
-    alpha = _scalar_field(args.alpha, "--alpha")
-    beta = _scalar_field(args.beta, "--beta")
-    vm = VermaModule(algebra, hw, args.depth)
-    index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
-    return TensorModule(vm, IntModule(IntParams(alpha, beta, psi), index_set))
 
 
 def _emit(obj) -> None:
@@ -189,6 +179,12 @@ def _emit(obj) -> None:
 def _emit_cert(cert: ProbeCertificate) -> int:
     print(cert.to_json())
     return _STATUS_EXIT[cert.status]
+
+
+def _run_probe(cfg: RunConfig, desc: dict) -> int:
+    """Build cfg's modules and run one probe descriptor, as `run` would."""
+    _, tensor = build_modules(cfg)
+    return _emit_cert(execute_probe(cfg, tensor, 0, desc))
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -225,18 +221,9 @@ def _cmd_int_module(args) -> int:
 
 
 def _cmd_verma(args) -> int:
-    algebra = algebra_field(args.algebra, "--algebra")
-    hw = _hw_from(algebra, args.phi_d0, args.phi_c)
-    vm = VermaModule(algebra, hw, args.depth)
-    levels = {}
-    for k in range(args.depth + 1):
-        levels[str(k)] = {
-            "dim": len(vm.pbw_basis(k)),
-            "gram_rank": vm.gram_rank(k),
-            "radical_dim": vm.radical_dim(k),
-            "quotient_dim": vm.vphi_dim(k),
-        }
-    out = {"algebra": algebra.name or "custom", "depth": args.depth, "levels": levels}
+    cfg = _spec(args)
+    vm, _ = build_modules(cfg)
+    out = {"algebra": cfg.algebra.name or "custom", "depth": args.depth, "levels": level_table(vm)}
     code = EXIT_PASS
     if args.irreducibility:
         ok = vm.quotient_irreducibility_check()
@@ -247,16 +234,16 @@ def _cmd_verma(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    tensor = _tensor_from(args)
-    kmin, kmax = args.window
-    dims = {str(n): tensor.weight_space_dim(n) for n in range(kmin, kmax + 1)}
-    generated = tensor.generation_check(args.depth, kmin, kmax)
+    cfg = _spec(args)
+    _, tensor = build_modules(cfg)
+    dims = weight_space_dims(tensor, cfg.window)
+    generated = tensor.generation_check(args.depth, *cfg.window)
     _emit(
         {
-            "alpha": str(tensor.intermediate.params.alpha),
-            "beta": str(tensor.intermediate.params.beta),
+            "alpha": str(cfg.alpha),
+            "beta": str(cfg.beta),
             "depth": args.depth,
-            "window": [kmin, kmax],
+            "window": list(cfg.window),
             "weight_space_dims": dims,
             "generated_by_pure_tensors": generated,
         }
@@ -265,69 +252,53 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_endo_probe(args) -> int:
-    tensor = _tensor_from(args)
-    return _emit_cert(endo_probe(tensor, args.m, args.k))
+    return _run_probe(_spec(args), {"kind": "endo", "m": args.m, "k": args.k})
 
 
 def _cmd_x_probe(args) -> int:
-    tensor = _tensor_from(args)
-    b = _belem_cli(tensor.algebra, args.b)
-    w_vec = default_weight_vector(tensor, args.m, args.n)
-    cert = depth_reduction_probe(tensor, args.case, b, args.m, args.n, w_vec, l_max=args.l_max)
-    return _emit_cert(cert)
+    cfg = _spec(args)
+    desc = {"kind": "depth-reduction", "case": args.case, "b": _belem_cli(cfg.algebra, args.b),
+            "m": args.m, "n": args.n, "l_max": args.l_max, "vector": None}
+    return _run_probe(cfg, desc)
 
 
 def _cmd_cor31(args) -> int:
-    tensor = _tensor_from(args)
-    b = _belem_cli(tensor.algebra, args.b)
-    kmin, kmax = args.window
-    return _emit_cert(pure_tensor_ladder_check(tensor, b, kmin, kmax))
+    cfg = _spec(args)
+    return _run_probe(cfg, {"kind": "ladder", "b": _belem_cli(cfg.algebra, args.b)})
 
 
 def _cmd_psi_sep(args) -> int:
-    algebra = algebra_field(args.algebra, "--algebra")
-    hw1 = _hw_from(algebra, args.phi_d0, args.phi_c)
-    psi1 = psi_field(algebra, list(args.psi1), "--psi1")
-    psi2 = psi_field(algebra, list(args.psi2), "--psi2")
-    alpha1 = _scalar_field(args.alpha, "--alpha")
-    beta1 = _scalar_field(args.beta, "--beta")
-    alpha2 = _scalar_field(args.alpha2, "--alpha2") if args.alpha2 is not None else alpha1
-    beta2 = _scalar_field(args.beta2, "--beta2") if args.beta2 is not None else beta1
-    if args.phi2_d0 is not None:
-        hw2 = _hw_from(algebra, args.phi2_d0, args.phi2_c, path="phi2")
-    else:
-        hw2 = hw1
-    depth2 = args.depth2 if args.depth2 is not None else args.depth
-    vm1 = VermaModule(algebra, hw1, args.depth)
-    vm2 = VermaModule(algebra, hw2, depth2)
-
-    def _factor(alpha, beta, psi):
-        index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
-        return IntModule(IntParams(alpha, beta, psi), index_set)
-
-    t1 = TensorModule(vm1, _factor(alpha1, beta1, psi1))
-    t2 = TensorModule(vm2, _factor(alpha2, beta2, psi2))
-    cert = psi_separation(t1, t2, tuple(args.window), k=args.k, num_l=args.degrees)
-    return _emit_cert(cert)
+    cfg = _spec(args)
+    cfg.psi = psi_field(cfg.algebra, args.psi1, "--psi1")
+    psi2 = psi_field(cfg.algebra, args.psi2, "--psi2")
+    cfg.alpha = _scalar_field(args.alpha, "--alpha")
+    cfg.beta = _scalar_field(args.beta, "--beta")
+    desc = {
+        "kind": "psi-separation",
+        "psi2": psi2,
+        "alpha2": None if args.alpha2 is None else _scalar_field(args.alpha2, "--alpha2"),
+        "beta2": None if args.beta2 is None else _scalar_field(args.beta2, "--beta2"),
+        "phi2": None
+        if args.phi2_d0 is None
+        else hw_field(cfg.algebra, args.phi2_d0, args.phi2_c, "--phi2-d0", "--phi2-c"),
+        "depth2": args.depth2,
+        "k": args.k,
+        "degrees": args.degrees,
+    }
+    return _run_probe(cfg, desc)
 
 
 def _cmd_iso_coeffs(args) -> int:
-    return _emit_cert(
-        iso_coeffs_cert(
-            _scalar_field(args.A, "--A"),
-            _scalar_field(args.b1, "--b1"),
-            _scalar_field(args.Q, "--Q"),
-            _scalar_field(args.b2, "--b2"),
-        )
-    )
+    values = [_scalar_field(getattr(args, name), f"--{name}") for name in ("A", "b1", "Q", "b2")]
+    return _emit_cert(iso_coeffs_cert(*values))
 
 
 def _cmd_iso_check(args) -> int:
     algebra = algebra_field(args.algebra, "--algebra")
-    hw1 = _hw_from(algebra, args.phi1_d0, args.phi1_c, path="phi1")
-    hw2 = _hw_from(algebra, args.phi2_d0, args.phi2_c, path="phi2")
-    psi1 = psi_field(algebra, list(args.psi1), "--psi1")
-    psi2 = psi_field(algebra, list(args.psi2), "--psi2")
+    hw1 = hw_field(algebra, args.phi1_d0, args.phi1_c, "--phi1-d0", "--phi1-c")
+    hw2 = hw_field(algebra, args.phi2_d0, args.phi2_c, "--phi2-d0", "--phi2-c")
+    psi1 = psi_field(algebra, args.psi1, "--psi1")
+    psi2 = psi_field(algebra, args.psi2, "--psi2")
     alpha1 = _scalar_field(args.alpha1, "--alpha1")
     beta1 = _scalar_field(args.beta1, "--beta1")
     alpha2 = _scalar_field(args.alpha2, "--alpha2")
@@ -344,22 +315,15 @@ def _cmd_iso_check(args) -> int:
     }
     reasons = [] if equal else [f"signatures differ in: {', '.join(diffs)}"]
     if not equal and args.refute:
-        vm1 = VermaModule(algebra, hw1, args.depth)
-        vm2 = VermaModule(algebra, hw2, args.depth)
-
-        def _factor(alpha, beta, psi):
-            index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
-            return IntModule(IntParams(alpha, beta, psi), index_set)
-
-        t1 = TensorModule(vm1, _factor(alpha1, beta1, psi1))
-        t2 = TensorModule(vm2, _factor(alpha2, beta2, psi2))
-        kmin, kmax = args.window
+        cfg = RunConfig(algebra, hw1, psi1, alpha1, beta1, args.depth, tuple(args.window))
+        _, t1 = build_modules(cfg)
+        _, t2 = build_modules(replace(cfg, hw=hw2, psi=psi2, alpha=alpha2, beta=beta2))
         facts["weight_space_dims"] = {
-            "first": {str(n): t1.weight_space_dim(n) for n in range(kmin, kmax + 1)},
-            "second": {str(n): t2.weight_space_dim(n) for n in range(kmin, kmax + 1)},
+            "first": weight_space_dims(t1, cfg.window),
+            "second": weight_space_dims(t2, cfg.window),
         }
         if psi1.values != psi2.values:
-            facts["separation"] = psi_separation(t1, t2, (kmin, kmax)).to_dict()
+            facts["separation"] = psi_separation(t1, t2, cfg.window).to_dict()
     cert = ProbeCertificate(
         kind="iso-signature",
         status=STATUS_PASS if equal else STATUS_FAIL,
@@ -418,7 +382,9 @@ def _cmd_fixtures(args) -> int:
 # -- parser assembly -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (handlers resolve globals when called)."""
     parser = _Parser(prog="virloop", description="exact computations in loop-Virasoro modules")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -539,13 +505,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DepthExceededError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, DepthExceededError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:

@@ -1,15 +1,18 @@
-"""Run configurations, JSON reports, and fixture dumps.
+"""Module specs, the module builder, the probe executor, reports and fixtures.
 
 A run configuration is a plain JSON object that declares one coefficient
 algebra, one highest weight, optionally an intermediate-factor parameter
 set (psi, alpha, beta), and a list of probe descriptors.  `load_config`
 validates the document field by field and raises `ConfigError` with the
 offending JSON path, so a caller can refuse bad input before any module
-is built.  `run_config` executes the declared computations and returns a
-report dictionary whose JSON serialization is byte-stable: reports carry
-no timestamps unless timing is requested explicitly, every dict is dumped
-with sorted keys, and all sampled probes draw from a generator seeded by
-the config.
+is built.  The resulting `RunConfig` is the one module spec of the
+package: `build_modules` is the only place that turns parameters into
+modules and `execute_probe` the only place that runs a probe descriptor,
+for `run` and the command line alike.  `run_config` executes the declared
+computations and returns a report dictionary whose JSON serialization is
+byte-stable: reports carry no timestamps unless timing is requested
+explicitly, every dict is dumped with sorted keys, and all sampled probes
+draw from a generator seeded by the config.
 
 Scalars in configs are strings or integers ("1/2", "3+2i", 4).  Floats
 are rejected: the engine is exact and a float would smuggle in a rounding
@@ -23,12 +26,12 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import __version__
 from .coeff_algebra import AlgebraB, BElem, CharacterPsi, builtin_algebra
-from .intermediate import INDEX_ALL, INDEX_NONZERO, IntModule, IntParams, is_irreducible_int
+from .intermediate import int_module, is_irreducible_int
 from .probes import (
     STATUS_FAIL,
     STATUS_PASS,
@@ -133,6 +136,16 @@ def belem_field(algebra: AlgebraB, value, path: str) -> BElem:
     raise ConfigError(path, "expected a basis label or a coordinate list")
 
 
+def hw_field(algebra: AlgebraB, d0, c, d0_path: str, c_path: str) -> HighestWeight:
+    """A highest weight from its values on d_0 and on C; C defaults to zeros."""
+    d0_values = _scalar_list(d0, d0_path, expected_len=algebra.dim)
+    if c is None:
+        c_values = [ZERO] * algebra.dim
+    else:
+        c_values = _scalar_list(c, c_path, expected_len=algebra.dim)
+    return HighestWeight(algebra, d0_values, c_values)
+
+
 def psi_field(algebra: AlgebraB, value, path: str) -> CharacterPsi:
     psi = CharacterPsi(algebra, _scalar_list(value, path, expected_len=algebra.dim))
     if not psi.check():
@@ -155,7 +168,11 @@ _PROBE_FIELDS = {
 
 @dataclass
 class RunConfig:
-    """A validated run declaration; `raw` keeps the original JSON for echoing."""
+    """A module spec (algebra, hw, psi, alpha, beta, depth, window) plus run fields.
+
+    The command line leaves the run fields at their defaults; `raw` keeps
+    a config's original JSON for echoing.
+    """
 
     algebra: AlgebraB
     hw: HighestWeight
@@ -163,11 +180,11 @@ class RunConfig:
     alpha: GaussianRational | None
     beta: GaussianRational | None
     depth: int
-    window: tuple[int, int]
-    seed: int
-    probes: list[dict]
-    output: str | None
-    raw: dict
+    window: tuple[int, int] = (-6, 6)
+    seed: int = 0
+    probes: list[dict] = field(default_factory=list)
+    output: str | None = None
+    raw: dict = field(default_factory=dict)
 
 
 _TOP_KEYS = {
@@ -205,12 +222,7 @@ def load_config(data: dict) -> RunConfig:
         raise ConfigError(f"phi.{unknown[0]}", "unknown field")
     if "d0" not in phi:
         raise ConfigError("phi.d0", "required field is missing")
-    d0_values = _scalar_list(phi["d0"], "phi.d0", expected_len=algebra.dim)
-    if "c" in phi:
-        c_values = _scalar_list(phi["c"], "phi.c", expected_len=algebra.dim)
-    else:
-        c_values = [ZERO] * algebra.dim
-    hw = HighestWeight(algebra, d0_values, c_values)
+    hw = hw_field(algebra, phi["d0"], phi.get("c"), "phi.d0", "phi.c")
 
     psi = None
     if data.get("psi") is not None:
@@ -266,6 +278,11 @@ def load_config(data: dict) -> RunConfig:
     )
 
 
+def _optional(desc: dict, name: str, path: str, parse, default=None, **kwargs):
+    """desc[name] parsed at its JSON path, or the default when the field is absent."""
+    return parse(desc[name], f"{path}.{name}", **kwargs) if name in desc else default
+
+
 def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dict:
     if not isinstance(desc, dict):
         raise ConfigError(path, "expected an object with a 'kind' field")
@@ -300,9 +317,7 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
         out["n"] = _int_field(desc["n"], f"{path}.n", minimum=1)
         if out["n"] > depth:
             raise ConfigError(f"{path}.n", f"exceeds the configured depth {depth}")
-        out["l_max"] = (
-            _int_field(desc["l_max"], f"{path}.l_max", minimum=1) if "l_max" in desc else None
-        )
+        out["l_max"] = _optional(desc, "l_max", path, _int_field, minimum=1)
         out["vector"] = desc.get("vector")
     elif kind == "ladder":
         if "b" not in desc:
@@ -312,37 +327,22 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
         if "psi2" not in desc:
             raise ConfigError(f"{path}.psi2", "required field is missing")
         out["psi2"] = psi_field(algebra, desc["psi2"], f"{path}.psi2")
-        out["alpha2"] = (
-            _scalar_field(desc["alpha2"], f"{path}.alpha2") if "alpha2" in desc else None
-        )
-        out["beta2"] = _scalar_field(desc["beta2"], f"{path}.beta2") if "beta2" in desc else None
+        out["alpha2"] = _optional(desc, "alpha2", path, _scalar_field)
+        out["beta2"] = _optional(desc, "beta2", path, _scalar_field)
         if "phi2" in desc:
             phi2 = desc["phi2"]
             if not isinstance(phi2, dict) or "d0" not in phi2:
                 raise ConfigError(f"{path}.phi2", "expected an object with 'd0' and optional 'c'")
-            d0 = _scalar_list(phi2["d0"], f"{path}.phi2.d0", expected_len=algebra.dim)
-            if "c" in phi2:
-                c = _scalar_list(phi2["c"], f"{path}.phi2.c", expected_len=algebra.dim)
-            else:
-                c = [ZERO] * algebra.dim
-            out["phi2"] = (d0, c)
+            out["phi2"] = hw_field(
+                algebra, phi2["d0"], phi2.get("c"), f"{path}.phi2.d0", f"{path}.phi2.c"
+            )
         else:
             out["phi2"] = None
-        out["depth2"] = (
-            _int_field(desc["depth2"], f"{path}.depth2", minimum=0) if "depth2" in desc else None
-        )
-        out["k"] = _int_field(desc["k"], f"{path}.k") if "k" in desc else None
-        out["degrees"] = (
-            _int_field(desc["degrees"], f"{path}.degrees", minimum=1)
-            if "degrees" in desc
-            else 5
-        )
+        out["depth2"] = _optional(desc, "depth2", path, _int_field, minimum=0)
+        out["k"] = _optional(desc, "k", path, _int_field)
+        out["degrees"] = _optional(desc, "degrees", path, _int_field, 5, minimum=1)
     elif kind == "iso-identity":
-        out["samples"] = (
-            _int_field(desc["samples"], f"{path}.samples", minimum=1)
-            if "samples" in desc
-            else 25
-        )
+        out["samples"] = _optional(desc, "samples", path, _int_field, 25, minimum=1)
     elif kind == "iso-coeffs":
         for name in ("A", "b1", "Q", "b2"):
             if name not in desc:
@@ -357,11 +357,28 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
 def build_modules(cfg: RunConfig) -> tuple[VermaModule, TensorModule | None]:
     """Construct the truncated Verma module and, when psi is given, the tensor."""
     vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth)
-    tensor = None
-    if cfg.psi is not None:
-        index_set = INDEX_NONZERO if (cfg.alpha == ZERO and cfg.beta == ZERO) else INDEX_ALL
-        tensor = TensorModule(vm, IntModule(IntParams(cfg.alpha, cfg.beta, cfg.psi), index_set))
-    return vm, tensor
+    if cfg.psi is None:
+        return vm, None
+    return vm, TensorModule(vm, int_module(cfg.alpha, cfg.beta, cfg.psi))
+
+
+def level_table(vm: VermaModule) -> dict:
+    """Dimension, form rank, radical and quotient dimension of every level."""
+    return {
+        str(k): {
+            "dim": len(vm.pbw_basis(k)),
+            "gram_rank": vm.gram_rank(k),
+            "radical_dim": vm.radical_dim(k),
+            "quotient_dim": vm.vphi_dim(k),
+        }
+        for k in range(vm.depth + 1)
+    }
+
+
+def weight_space_dims(tensor: TensorModule, window: tuple[int, int]) -> dict:
+    """Weight-space dimension of every offset in the window."""
+    kmin, kmax = window
+    return {str(n): tensor.weight_space_dim(n) for n in range(kmin, kmax + 1)}
 
 
 def default_weight_vector(tensor: TensorModule, m: int, n: int):
@@ -456,7 +473,8 @@ def iso_coeffs_cert(a, b1, q, b2) -> ProbeCertificate:
     )
 
 
-def _execute_probe(cfg: RunConfig, vm, tensor, index: int, desc: dict) -> ProbeCertificate:
+def execute_probe(cfg: RunConfig, tensor, index: int, desc: dict) -> ProbeCertificate:
+    """Run one validated probe descriptor (as `load_config` returns it) on cfg's modules."""
     kind = desc["kind"]
     if kind == "endo":
         return endo_probe(tensor, desc["m"], desc["k"])
@@ -474,16 +492,10 @@ def _execute_probe(cfg: RunConfig, vm, tensor, index: int, desc: dict) -> ProbeC
     if kind == "ladder":
         return pure_tensor_ladder_check(tensor, desc["b"], cfg.window[0], cfg.window[1])
     if kind == "psi-separation":
-        if desc["phi2"] is None:
-            hw2 = cfg.hw
-        else:
-            hw2 = HighestWeight(cfg.algebra, desc["phi2"][0], desc["phi2"][1])
-        depth2 = cfg.depth if desc["depth2"] is None else desc["depth2"]
-        alpha2 = cfg.alpha if desc["alpha2"] is None else desc["alpha2"]
-        beta2 = cfg.beta if desc["beta2"] is None else desc["beta2"]
-        vm2 = VermaModule(cfg.algebra, hw2, depth2)
-        index_set = INDEX_NONZERO if (alpha2 == ZERO and beta2 == ZERO) else INDEX_ALL
-        tensor2 = TensorModule(vm2, IntModule(IntParams(alpha2, beta2, desc["psi2"]), index_set))
+        # the second module is the first with every given field replaced
+        second = {"hw": desc["phi2"], "psi": desc["psi2"], "alpha": desc["alpha2"],
+                  "beta": desc["beta2"], "depth": desc["depth2"]}
+        _, tensor2 = build_modules(replace(cfg, **{k: v for k, v in second.items() if v is not None}))
         return psi_separation(tensor, tensor2, cfg.window, k=desc["k"], num_l=desc["degrees"])
     if kind == "iso-identity":
         return _iso_identity_cert(cfg.seed, index, desc["samples"])
@@ -511,25 +523,15 @@ def run_config(cfg: RunConfig, with_timing: bool = False) -> dict:
     """
     start = time.perf_counter()
     vm, tensor = build_modules(cfg)
-
-    levels = {}
-    for k in range(cfg.depth + 1):
-        levels[str(k)] = {
-            "dim": len(vm.pbw_basis(k)),
-            "gram_rank": vm.gram_rank(k),
-            "radical_dim": vm.radical_dim(k),
-            "quotient_dim": vm.vphi_dim(k),
-        }
     results = {
         "verma": {
             "algebra": cfg.algebra.name or "custom",
             "depth": cfg.depth,
-            "levels": levels,
+            "levels": level_table(vm),
         }
     }
 
     if tensor is not None:
-        kmin, kmax = cfg.window
         results["intermediate"] = {
             "alpha": str(cfg.alpha),
             "beta": str(cfg.beta),
@@ -538,15 +540,11 @@ def run_config(cfg: RunConfig, with_timing: bool = False) -> dict:
             "psi": [str(v) for v in cfg.psi.values],
         }
         results["tensor"] = {
-            "window": [kmin, kmax],
-            "weight_space_dims": {
-                str(n): tensor.weight_space_dim(n) for n in range(kmin, kmax + 1)
-            },
+            "window": list(cfg.window),
+            "weight_space_dims": weight_space_dims(tensor, cfg.window),
         }
 
-    certs = []
-    for index, desc in enumerate(cfg.probes):
-        certs.append(_execute_probe(cfg, vm, tensor, index, desc))
+    certs = [execute_probe(cfg, tensor, index, desc) for index, desc in enumerate(cfg.probes)]
     results["probes"] = [c.to_dict() for c in certs]
 
     report = {
@@ -583,7 +581,7 @@ def fixture_dump(cfg: RunConfig, outdir: str) -> list[str]:
     is header-only.
     """
     os.makedirs(outdir, exist_ok=True)
-    vm = VermaModule(cfg.algebra, cfg.hw, cfg.depth)
+    vm, _ = build_modules(cfg)
     algebra = cfg.algebra
     written = []
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .coeff_algebra import CharacterPsi
 from .linalg import SpanBasis
 from .scalars import GaussianRational, ONE, ZERO, normalize_alpha, scalar
-from .virasoro import Generator, KIND_C, KIND_D, LieElement
+from .virasoro import Generator, KIND_C, LieElement
 
 IntVector = dict
 
@@ -94,6 +94,13 @@ class IntModule:
 
     def allowed_index(self, k: int) -> bool:
         return self.index_set == INDEX_ALL or k != 0
+
+    @property
+    def irreducible(self) -> bool:
+        """Irreducible as built: off the reducible locus, or Z - {0} at (0,0)."""
+        p = self.params
+        at_origin = self.index_set == INDEX_NONZERO and not p.alpha and not p.beta
+        return at_origin or is_irreducible_int(p.alpha, p.beta)
 
     # -- actions -----------------------------------------------------------------
 
@@ -225,5 +232,11 @@ def prime_module(alpha, beta, psi: CharacterPsi | None = None) -> IntModule:
     a0, _ = normalize_alpha(alpha)
     if beta == ONE:
         beta = ZERO
-    index_set = INDEX_NONZERO if (a0 == ZERO and beta == ZERO) else INDEX_ALL
-    return IntModule(IntParams(a0, beta, psi), index_set)
+    return int_module(a0, beta, psi)
+
+
+def int_module(alpha, beta, psi: CharacterPsi | None = None) -> IntModule:
+    """V_{α,β,ψ} as given (reducible or not), on index set Z - {0} exactly at (0,0)."""
+    alpha, beta = scalar(alpha), scalar(beta)
+    index_set = INDEX_NONZERO if (alpha == ZERO and beta == ZERO) else INDEX_ALL
+    return IntModule(IntParams(alpha, beta, psi), index_set)

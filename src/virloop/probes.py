@@ -43,6 +43,9 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_UNSATISFIABLE = "hypothesis-unsatisfiable"
 
+# endo_probe and depth_reduction_probe assume an irreducible intermediate factor
+_REDUCIBLE_FACTOR = "intermediate factor is reducible: alpha is an integer and beta is 0 or 1"
+
 
 # -- certificates ----------------------------------------------------------------
 
@@ -258,6 +261,8 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
         raise ValueError("depth bound k must be nonnegative")
     if tensor.verma.depth < k:
         raise ValueError(f"quotient computed to depth {tensor.verma.depth} < k = {k}")
+    if not tensor.intermediate.irreducible:
+        return ProbeCertificate("endo", STATUS_UNSATISFIABLE, params, reasons=[_REDUCIBLE_FACTOR])
     if not tensor.intermediate.allowed_index(m):
         return ProbeCertificate(
             "endo",
@@ -391,6 +396,8 @@ def depth_reduction_probe(
         reasons.append("top depth n must be positive")
     if not tensor.intermediate.allowed_index(m + n):
         reasons.append(f"index {m + n} lies outside the intermediate module's basis")
+    if not tensor.intermediate.irreducible:
+        reasons.append(_REDUCIBLE_FACTOR)
     if reasons:
         return ProbeCertificate("depth-reduction", STATUS_UNSATISFIABLE, params, reasons=reasons)
 

@@ -22,7 +22,7 @@ from .intermediate import IntModule
 from .linalg import SpanBasis
 from .scalars import GaussianRational, ONE, ZERO, scalar
 from .verma import DepthExceededError, VermaModule
-from .virasoro import Generator, KIND_C, KIND_D, LieElement, WordSum
+from .virasoro import Generator, KIND_D, LieElement, WordSum
 
 TensorVector = dict
 

@@ -324,22 +324,6 @@ class VermaModule:
                 acc = acc + cu * row[lv.index[mv]] * cv
         return acc
 
-    def act_words_on_vphi(self, words: WordSum, k: int, vec: PbwVector) -> dict[int, PbwVector]:
-        """Apply a word sum to a level-k quotient vector; results keyed by level.
-
-        The input is lifted to PBW monomials, the words act through the
-        module's PbwAction, and each homogeneous piece is reduced at its
-        level.
-        """
-        by_level: dict[int, PbwVector] = {}
-        for mono, c in self._action.apply_words(words, vec).items():
-            by_level.setdefault(sum(d for d, _ in mono), {})[mono] = c
-        return {
-            lvl: red
-            for lvl, vec2 in by_level.items()
-            if (red := self.vphi_reduce(lvl, vec2))
-        }
-
     def act_on_vphi(self, gen: Generator, k: int, vec: PbwVector) -> tuple[int, PbwVector]:
         """Apply one generator to a level-k quotient vector.
 

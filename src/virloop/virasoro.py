@@ -58,9 +58,6 @@ class Generator:
         if self.kind == KIND_C and self.degree != 0:
             raise ValueError("central generators carry degree 0")
 
-    def scaled_bcoef(self, s: GaussianRational) -> "Generator":
-        return Generator(self.kind, self.degree, tuple(s * c for c in self.bcoef))
-
 
 def d_gen(n: int, bcoef: BElem) -> Generator:
     return Generator(KIND_D, n, bcoef)
@@ -114,15 +111,6 @@ class LieElement:
     @classmethod
     def central(cls, algebra: AlgebraB, bindex: int = 0, coeff=1) -> "LieElement":
         return cls(algebra, {(0, KIND_C, bindex): scalar(coeff)})
-
-    @classmethod
-    def from_generator(cls, algebra: AlgebraB, gen: Generator, coeff=1) -> "LieElement":
-        terms = {}
-        c0 = scalar(coeff)
-        for j, bj in enumerate(gen.bcoef):
-            if bj:
-                terms[(gen.degree, gen.kind, j)] = c0 * bj
-        return cls(algebra, terms)
 
     # -- vector-space operations ----------------------------------------------
 
@@ -217,14 +205,6 @@ class LieElement:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
-
-    def to_words(self) -> "WordSum":
-        """One-factor enveloping words, one per stored term."""
-        out = WordSum(self.algebra)
-        for (degree, kind, j), coeff in self.terms.items():
-            gen = Generator(kind, degree, self.algebra.basis_elem(j))
-            out.add_word((gen,), coeff)
-        return out
 
     def __str__(self):
         if not self.terms:

@@ -301,12 +301,12 @@ def test_cli_bad_flag_value_is_config_error(capsys):
 
 
 def test_cli_internal_error_exits_4_with_traceback(monkeypatch, capsys):
-    import virloop.cli as cli
+    import virloop.config as config
 
     def broken_engine(*args, **kwargs):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(cli, "VermaModule", broken_engine)
+    monkeypatch.setattr(config, "VermaModule", broken_engine)
     code = main(["verma", "--phi-d0", "1", "--phi-c", "0", "--depth", "2"])
     assert code == EXIT_INTERNAL
     assert code not in (EXIT_PASS, EXIT_FAIL, EXIT_UNSATISFIABLE, EXIT_CONFIG)
@@ -685,3 +685,118 @@ def test_cli_golden_fixture_files(tmp_path, capsys):
     capsys.readouterr()
     digests = {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.glob("*.csv"))}
     assert digests == GOLDEN_FIXTURES
+
+
+# -- one path from flags or a config ----------------------------------------------------
+
+_STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "hypothesis-unsatisfiable": EXIT_UNSATISFIABLE}
+
+_SPLIT_FLAGS = ["--algebra", "split 2", "--alpha", "1/2", "--beta", "1/3"]
+_SPLIT_CONFIG = {"algebra": "split 2", "alpha": "1/2", "beta": "1/3"}
+
+# (subcommand argv, the one-probe config that declares the same modules and probe)
+CLI_CONFIG_PAIRS = [
+    (
+        ["endo-probe", *_SPLIT_FLAGS, "--phi-d0", "0", "1", "--psi", "1", "0",
+         "--depth", "2", "--m", "0", "--k", "2"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["0", "1"]}, psi=["1", "0"], depth=2,
+             probes=[{"kind": "endo", "m": 0, "k": 2}]),
+    ),
+    (
+        ["endo-probe", "--phi-d0", "1", "--psi", "1", "--alpha", "1", "--beta", "0",
+         "--depth", "2", "--m", "2", "--k", "1"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1", "beta": "0",
+         "depth": 2, "probes": [{"kind": "endo", "m": 2, "k": 1}]},
+    ),
+    (
+        ["x-probe", "--case", "I", "--phi-d0", "1", "--phi-c", "1/3", "--psi", "1",
+         "--alpha", "1/2", "--beta", "2", "--depth", "2", "--b", "e0", "--m", "1", "--n", "2"],
+        {"algebra": "trivial", "phi": {"d0": ["1"], "c": ["1/3"]}, "psi": ["1"],
+         "alpha": "1/2", "beta": "2", "depth": 2,
+         "probes": [{"kind": "depth-reduction", "case": "I", "b": "e0", "m": 1, "n": 2}]},
+    ),
+    (
+        ["x-probe", "--case", "II", "--phi-d0", "1", "--psi", "1", "--alpha", "2",
+         "--beta", "0", "--depth", "1", "--b", "1", "--m", "1", "--n", "1", "--l-max", "9"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "2", "beta": "0",
+         "depth": 1, "probes": [{"kind": "depth-reduction", "case": "II", "b": [1], "m": 1,
+                                 "n": 1, "l_max": 9}]},
+    ),
+    (
+        ["cor31", *_SPLIT_FLAGS, "--phi-d0", "0", "1", "--psi", "1", "0", "--depth", "1",
+         "--window", "-8", "8", "--b", "e0"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["0", "1"]}, psi=["1", "0"], depth=1, window=[-8, 8],
+             probes=[{"kind": "ladder", "b": "e0"}]),
+    ),
+    (
+        ["psi-sep", *_SPLIT_FLAGS, "--phi-d0", "1", "2", "--psi1", "1", "0", "--psi2", "0", "1",
+         "--depth", "1", "--window", "-2", "2"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["1", "2"]}, psi=["1", "0"], depth=1, window=[-2, 2],
+             probes=[{"kind": "psi-separation", "psi2": ["0", "1"]}]),
+    ),
+    (
+        ["psi-sep", "--algebra", "split 2", "--phi-d0", "1", "2", "--psi1", "1", "0",
+         "--psi2", "0", "1", "--alpha", "0", "--beta", "0", "--alpha2", "1/3", "--beta2", "2",
+         "--phi2-d0", "3", "4", "--phi2-c", "1", "0", "--depth2", "2", "--window", "-2", "2",
+         "--k", "1", "--degrees", "3"],
+        {"algebra": "split 2", "phi": {"d0": ["1", "2"]}, "psi": ["1", "0"], "alpha": "0",
+         "beta": "0", "depth": 1, "window": [-2, 2],
+         "probes": [{"kind": "psi-separation", "psi2": ["0", "1"], "alpha2": "1/3",
+                     "beta2": "2", "phi2": {"d0": ["3", "4"], "c": ["1", "0"]}, "depth2": 2,
+                     "k": 1, "degrees": 3}]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config", CLI_CONFIG_PAIRS, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(CLI_CONFIG_PAIRS)]
+)
+def test_cli_probe_prints_the_run_report_certificate(argv, config, capsys):
+    from virloop.probes import ProbeCertificate
+
+    code = main(argv)
+    out = capsys.readouterr().out
+    report = run_config(load_config(config))
+    (entry,) = report["results"]["probes"]
+    assert out == ProbeCertificate(**entry).to_json() + "\n"
+    assert code == _STATUS_CODE[report["status"]] == _STATUS_CODE[entry["status"]]
+
+
+_REDUCIBLE = "intermediate factor is reducible"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endo-probe", "--alpha", "1", "--beta", "0", "--phi-d0", "1", "--psi", "1",
+         "--depth", "2", "--m", "2", "--k", "1"],
+        ["x-probe", "--case", "I", "--alpha", "2", "--beta", "1", "--phi-d0", "1", "--psi", "1",
+         "--depth", "1", "--b", "e0", "--m", "1", "--n", "1"],
+    ],
+    ids=["endo-probe", "x-probe"],
+)
+def test_cli_reducible_intermediate_factor_is_unsatisfiable(argv, capsys):
+    assert main(argv) == EXIT_UNSATISFIABLE
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "hypothesis-unsatisfiable"
+    assert any(_REDUCIBLE in r for r in cert["reasons"])
+    assert cert["applications"] == []
+
+
+def test_run_reducible_intermediate_factor_is_unsatisfiable(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tensor_config(alpha="1", beta="0", probes=[{"kind": "endo", "k": 1}])))
+    assert main(["run", str(path)]) == EXIT_UNSATISFIABLE
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "hypothesis-unsatisfiable"
+    assert report["results"]["intermediate"]["irreducible"] is False
+    assert _REDUCIBLE in report["results"]["probes"][0]["reasons"][0]
+
+
+def test_cli_endo_probe_at_the_origin_runs_on_the_quotient(capsys):
+    # (0,0) is on the reducible locus, but the module is built on Z - {0},
+    # which is the irreducible quotient, so the probe runs and passes
+    argv = ["endo-probe", "--phi-d0", "1", "--psi", "1", "--alpha", "0", "--beta", "0",
+            "--m", "1", "--k", "1", "--depth", "1"]
+    assert main(argv) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"

@@ -10,6 +10,7 @@ from virloop.intermediate import (
     INDEX_NONZERO,
     IntModule,
     IntParams,
+    int_module,
     is_irreducible_int,
     prime_module,
 )
@@ -75,6 +76,19 @@ def test_is_irreducible_predicate():
     assert is_irreducible_int(0, 2)
     assert is_irreducible_int("i", 0)
     assert is_irreducible_int("1/3", 1)
+
+
+def test_int_module_index_set_and_irreducible_as_built():
+    # Z - {0} exactly at (0,0); every other pair keeps the full index set
+    assert int_module(0, 0, PSI1).index_set == INDEX_NONZERO
+    for alpha, beta in ((1, 0), (0, 1), (-2, 1), ("1/2", 0), (0, "1/3")):
+        assert int_module(alpha, beta, PSI1).index_set == INDEX_ALL
+    assert int_module(0, 0).irreducible
+    assert int_module("1/2", 0).irreducible and int_module(3, "1/3").irreducible
+    assert not int_module(1, 0).irreducible and not int_module(-2, 1).irreducible
+    # the full module at (0,0), or Z - {0} off the origin, stays reducible
+    assert not module(0, 0).irreducible
+    assert not module(1, 0, INDEX_NONZERO).irreducible
 
 
 def test_closure_at_0_0_finds_proper_submodule():
