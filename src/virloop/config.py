@@ -201,6 +201,18 @@ _TOP_KEYS = {
 }
 
 
+def _phi_field(algebra, phi, path: str):
+    """A highest weight given as {"d0": [...], "c": [...]}, with "c" optional and no other key."""
+    if not isinstance(phi, dict):
+        raise ConfigError(path, "expected an object with 'd0' and optional 'c'")
+    unknown = sorted(set(phi) - {"d0", "c"})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
+    if "d0" not in phi:
+        raise ConfigError(f"{path}.d0", "required field is missing")
+    return hw_field(algebra, phi["d0"], phi.get("c"), f"{path}.d0", f"{path}.c")
+
+
 def load_config(data: dict) -> RunConfig:
     """Validate a JSON document into a RunConfig, or raise ConfigError."""
     if not isinstance(data, dict):
@@ -214,15 +226,7 @@ def load_config(data: dict) -> RunConfig:
 
     if "phi" not in data:
         raise ConfigError("phi", "required field is missing")
-    phi = data["phi"]
-    if not isinstance(phi, dict):
-        raise ConfigError("phi", "expected an object with 'd0' and optional 'c'")
-    unknown = sorted(set(phi) - {"d0", "c"})
-    if unknown:
-        raise ConfigError(f"phi.{unknown[0]}", "unknown field")
-    if "d0" not in phi:
-        raise ConfigError("phi.d0", "required field is missing")
-    hw = hw_field(algebra, phi["d0"], phi.get("c"), "phi.d0", "phi.c")
+    hw = _phi_field(algebra, data["phi"], "phi")
 
     psi = None
     if data.get("psi") is not None:
@@ -329,15 +333,7 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
         out["psi2"] = psi_field(algebra, desc["psi2"], f"{path}.psi2")
         out["alpha2"] = _optional(desc, "alpha2", path, _scalar_field)
         out["beta2"] = _optional(desc, "beta2", path, _scalar_field)
-        if "phi2" in desc:
-            phi2 = desc["phi2"]
-            if not isinstance(phi2, dict) or "d0" not in phi2:
-                raise ConfigError(f"{path}.phi2", "expected an object with 'd0' and optional 'c'")
-            out["phi2"] = hw_field(
-                algebra, phi2["d0"], phi2.get("c"), f"{path}.phi2.d0", f"{path}.phi2.c"
-            )
-        else:
-            out["phi2"] = None
+        out["phi2"] = _phi_field(algebra, desc["phi2"], f"{path}.phi2") if "phi2" in desc else None
         out["depth2"] = _optional(desc, "depth2", path, _int_field, minimum=0)
         out["k"] = _optional(desc, "k", path, _int_field)
         out["degrees"] = _optional(desc, "degrees", path, _int_field, 5, minimum=1)

@@ -20,14 +20,27 @@ fraction-free engine over the Gaussian integers Z[i]:
   the reduced echelon form is the integer rows divided by D; only those
   quotients become `GaussianRational` values.  Real matrices, the usual
   case, run the same recurrence on plain ints.
-* `nullspace` first tries a modular certificate on square and tall
-  matrices: the scaled matrix is reduced modulo the prime `CERT_PRIME`
+* The scaled rows are split into the connected blocks of their nonzero
+  pattern (row i and column c joined when entry (i, c) is nonzero), and
+  each block is eliminated on its own.  Columns of different blocks have
+  disjoint row supports, so the column space is the direct sum of the
+  blocks' column spaces: column c is a leftmost pivot, that is, outside
+  the span of the columns before it, exactly when it is one inside its
+  own block.  The pivot set is the union of the blocks' pivot sets, and
+  each RREF row and each kernel vector lives in one block; sorted by
+  pivot and by free column they are the whole-matrix results.  Gram
+  matrices over orthogonal idempotents (`split k`) are block-diagonal by
+  multi-level, so this turns one dense elimination into several small
+  ones; a matrix that is one block is eliminated as a whole, in place.
+* Each square or tall block first tries a modular certificate: the
+  scaled block is reduced modulo the prime `CERT_PRIME`
   (p ≡ 1 mod 4), with i sent to the square root `CERT_SQRT_MINUS_ONE`
   of −1 mod p.  That is a ring map Z[i] → F_p, so it maps the determinant
   of any maximal minor to the same minor mod p; full column rank mod p
-  therefore proves full column rank over Q(i), and the kernel is {0}.  A
-  lower rank mod p proves nothing (p may divide a nonzero minor), so the
-  exact path decides every nonzero nullity.
+  therefore proves full column rank over Q(i): the block's kernel is {0}
+  and its RREF is the identity, with no exact elimination.  A lower rank
+  mod p proves nothing (p may divide a nonzero minor), so the exact path
+  decides every nonzero nullity.
 
 Pivots are always chosen leftmost in the declared coordinate order, which
 makes every echelon basis deterministic and regression-friendly; the
@@ -38,8 +51,9 @@ free column), is unique, so it does not depend on how it was computed.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
-from .scalars import GaussianRational, ONE, ZERO, from_parts, parts, scalar
+from .scalars import GaussianRational, ONE, ZERO, from_parts, parts
 
 Matrix = list[list[GaussianRational]]
 SparseVec = dict
@@ -145,19 +159,96 @@ def _entry(re_rows, im_rows, r: int, c: int, d) -> GaussianRational:
     return from_parts(n_re * d_re + n_im * d_im, n_im * d_re - n_re * d_im, d_re * d_re + d_im * d_im)
 
 
+def _blocks(re_rows, im_rows, ncols: int) -> list[tuple[list[int], list[int]]] | None:
+    """Connected blocks of the nonzero pattern as (row indices, column indices), or None for one block.
+
+    Row i and column c are joined when entry (i, c) is nonzero.  A row with
+    no nonzero entry belongs to no block, and a column that no row touches
+    is a block of its own with no rows.  Indices ascend inside each block,
+    and blocks come in the order of their first column.  The scan stops as
+    soon as all columns are joined, which for a dense matrix is its first row.
+    """
+    label = list(range(ncols))
+    members = {c: [c] for c in range(ncols)}
+    supports = []
+    for i, row in enumerate(re_rows):
+        if im_rows is None:
+            support = [c for c, a in enumerate(row) if a]
+        else:
+            support = [c for c, (a, b) in enumerate(zip(row, im_rows[i])) if a or b]
+        supports.append(support)
+        found = {label[c] for c in support}
+        if len(found) > 1:
+            keep = max(found, key=lambda k: len(members[k]))
+            found.discard(keep)
+            for k in found:
+                for c in members[k]:
+                    label[c] = keep
+                members[keep] += members.pop(k)
+            if len(members) == 1:
+                return None
+    if len(members) == 1:
+        return None
+    blocks = {k: ([], sorted(cols)) for k, cols in sorted(members.items(), key=lambda kv: min(kv[1]))}
+    for i, support in enumerate(supports):
+        if support:
+            blocks[label[support[0]]][0].append(i)
+    return list(blocks.values())
+
+
+def _block_echelon(re_rows, im_rows, ncols: int):
+    """`_echelon` of one block, skipped when the block has no rows or is certified full rank."""
+    if not re_rows:
+        return re_rows, None, [], (1, 0)
+    if len(re_rows) >= ncols and _full_rank_mod_p(re_rows, im_rows, ncols):
+        identity = [[0] * ncols for _ in range(ncols)]
+        for c in range(ncols):
+            identity[c][c] = 1
+        return identity, None, list(range(ncols)), (1, 0)
+    return _echelon(re_rows, im_rows, ncols)
+
+
+def _eliminate(matrix: Matrix) -> list:
+    """Echelon form of each connected block: (columns, re_rows, im_rows, pivots, D) in block indices.
+
+    Rows are scaled by `_scaled` once; a matrix that is one block is
+    eliminated in place, with its zero rows, as a whole.
+    """
+    ncols = len(matrix[0])
+    re_rows, im_rows = _scaled(matrix)
+    blocks = _blocks(re_rows, im_rows, ncols)
+    if blocks is None:
+        return [(range(ncols), *_block_echelon(re_rows, im_rows, ncols))]
+    out = []
+    for rows, cols in blocks:
+        sub_re = [[re_rows[i][c] for c in cols] for i in rows]
+        sub_im = [[im_rows[i][c] for c in cols] for i in rows] if im_rows else None
+        if sub_im is not None and not any(map(any, sub_im)):
+            sub_im = None
+        out.append((cols, *_block_echelon(sub_re, sub_im, len(cols))))
+    return out
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     if not matrix:
         return [], []
     ncols = len(matrix[0])
-    re_rows, im_rows, pivots, d = _echelon(*_scaled(matrix), ncols)
-    rows = [[_entry(re_rows, im_rows, r, c, d) for c in range(ncols)] for r in range(len(pivots))]
-    rows += [[ZERO] * ncols for _ in range(len(matrix) - len(pivots))]
-    return rows, pivots
+    found = []
+    for cols, re_rows, im_rows, pivots, d in _eliminate(matrix):
+        for r, p in enumerate(pivots):
+            row = [ZERO] * ncols
+            for j, c in enumerate(cols):
+                row[c] = _entry(re_rows, im_rows, r, j, d)
+            found.append((cols[p], row))
+    found.sort(key=itemgetter(0))
+    rows = [row for _, row in found]
+    rows += [[ZERO] * ncols for _ in range(len(matrix) - len(found))]
+    return rows, [p for p, _ in found]
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_echelon(*_scaled(matrix), len(matrix[0]))[2]) if matrix else 0
+    return sum(len(pivots) for _, _, _, pivots, _ in _eliminate(matrix)) if matrix else 0
 
 
 def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:
@@ -165,41 +256,45 @@ def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:
 
     The vector for free column f has entry 1 at f and 0 at every other
     free column, so the output is canonical given the column order.  A
-    square or tall matrix of full rank modulo CERT_PRIME has kernel {0}
-    and returns [] without exact elimination.
+    square or tall block of full rank modulo CERT_PRIME has no free column
+    and runs no exact elimination.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    re_rows, im_rows = _scaled(matrix)
-    if len(matrix) >= ncols and _full_rank_mod_p(re_rows, im_rows, ncols):
-        return []
-    re_rows, im_rows, pivots, d = _echelon(re_rows, im_rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -_entry(re_rows, im_rows, r, f, d)
-        basis.append(vec)
-    return basis
+    found = []
+    for cols, re_rows, im_rows, pivots, d in _eliminate(matrix):
+        pivot_set = set(pivots)
+        for f in range(len(cols)):
+            if f in pivot_set:
+                continue
+            vec = [ZERO] * ncols
+            vec[cols[f]] = ONE
+            for r, p in enumerate(pivots):
+                vec[cols[p]] = -_entry(re_rows, im_rows, r, f, d)
+            found.append((cols[f], vec))
+    found.sort(key=itemgetter(0))
+    return [vec for _, vec in found]
 
 
 def solve(matrix: Matrix, target: list[GaussianRational]):
-    """One exact solution of A x = target, or None if the system is inconsistent."""
+    """One exact solution of A x = target, or None if the system is inconsistent.
+
+    Free unknowns are 0, so only the block holding the target column sets x.
+    """
     if not matrix:
         return None
     ncols = len(matrix[0])
     aug = [list(row) + [t] for row, t in zip(matrix, target)]
-    re_rows, im_rows, pivots, d = _echelon(*_scaled(aug), ncols + 1)
-    if ncols in pivots:
-        return None
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = _entry(re_rows, im_rows, r, ncols, d)
+    for cols, re_rows, im_rows, pivots, d in _eliminate(aug):
+        last = len(cols) - 1
+        if cols[last] != ncols:
+            continue
+        if last in pivots:
+            return None
+        for r, p in enumerate(pivots):
+            x[cols[p]] = _entry(re_rows, im_rows, r, last, d)
     return x
 
 
@@ -303,7 +398,3 @@ def vec_add_scaled(acc: SparseVec, vec: SparseVec, factor: GaussianRational) -> 
             acc[c] = s
         else:
             acc.pop(c, None)
-
-
-def parse_matrix(rows: list[list]) -> Matrix:
-    return [[scalar(x) for x in row] for row in rows]

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coeff_algebra import AlgebraB, BElem
 from .linalg import vec_add_scaled
-from .scalars import GaussianRational, ONE, ZERO, scalar
+from .scalars import GaussianRational, ONE, ZERO, from_parts, scalar
 
 MAX_DEGREE = 10**6
 
@@ -69,7 +68,7 @@ def c_gen(bcoef: BElem) -> Generator:
 
 def central_charge_term(m: int) -> GaussianRational:
     """Coefficient of C in [d_m, d_{-m}], namely (m^3 - m)/12."""
-    return GaussianRational(Fraction(m**3 - m, 12), Fraction(0))
+    return from_parts(m**3 - m, 0, 12)
 
 
 class LieElement:

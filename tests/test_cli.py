@@ -97,6 +97,18 @@ def test_load_config_rejects_threads_field(tmp_path):
     assert main(["verma", "--phi-d0", "1", "--depth", "1", "--threads", "2"]) == EXIT_CONFIG
 
 
+def test_load_config_rejects_unknown_phi2_field(tmp_path):
+    probe = {"kind": "psi-separation", "psi2": ["0", "1"], "phi2": {"d0": ["2", "3"], "cc": ["5", "5"]}}
+    data = tensor_config(probes=[probe])
+    with pytest.raises(ConfigError) as err:
+        load_config(data)
+    assert err.value.path == "probes[0].phi2.cc"
+    assert err.value.message == "unknown field"
+    path = tmp_path / "phi2.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+
+
 def test_load_config_rejects_float_scalar():
     with pytest.raises(ConfigError) as err:
         load_config({"algebra": "trivial", "phi": {"d0": [0.5]}})

@@ -15,7 +15,6 @@ from virloop.linalg import (
     CERT_SQRT_MINUS_ONE,
     SpanBasis,
     nullspace,
-    parse_matrix,
     rank,
     rref,
     solve,
@@ -25,6 +24,10 @@ from virloop.scalars import ONE, ZERO, GaussianRational, scalar
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def parse_matrix(rows):
+    return [[scalar(x) for x in row] for row in rows]
 
 
 def test_rref_identity():
@@ -181,6 +184,46 @@ def test_elimination_equals_fraction_oracle(system):
     assert solve(m, target) == oracle_rref.solve(m, target)
 
 
+@st.composite
+def permuted_block_matrices(draw):
+    """A block-diagonal Q(i) matrix with zero rows and columns, its rows and columns permuted.
+
+    Some block repeats a row, and a 2x2 block can have determinant CERT_PRIME
+    times a unit, so it is invertible but singular mod p.
+    """
+    complex_entries = draw(st.booleans())
+    entry = st.builds(GaussianRational, rationals, rationals if complex_entries else st.just(0))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        nr, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        block = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and draw(st.booleans()):
+            block[-1] = list(block[0])
+        blocks.append(block)
+    if draw(st.booleans()):
+        unit = draw(st.sampled_from([ONE, -ONE, scalar("i"), scalar("-i")]))
+        blocks.append([[unit, scalar(2)], [scalar(3) * unit, scalar(6 + CERT_PRIME)]])
+    blocks += [[[]] for _ in range(draw(st.integers(0, 2)))]  # zero rows
+    blocks += [[[ZERO]] for _ in range(draw(st.integers(0, 2)))]  # zero columns, with a zero row
+    nrows, ncols = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    m, r0, c0 = [[ZERO] * ncols for _ in range(nrows)], 0, 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            m[r0 + i][c0 : c0 + len(row)] = row
+        r0, c0 = r0 + len(block), c0 + len(block[0])
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[m[r][c] for c in col_order] for r in row_order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_block_matrices())
+def test_block_split_elimination_equals_fraction_oracle(m):
+    assert rref(m) == oracle_rref.rref(m)
+    assert rank(m) == oracle_rref.rank(m)
+    assert nullspace(m) == oracle_rref.nullspace(m)
+
+
 @pytest.mark.parametrize(
     "d0, c, nullity",
     [
@@ -207,7 +250,7 @@ def test_certificate_prime_is_one_mod_four_with_sqrt_minus_one():
 
 @pytest.fixture
 def exact_path_calls(monkeypatch):
-    """Counts the exact eliminations that nullspace runs."""
+    """Row counts of the blocks that reach exact elimination in nullspace."""
     calls = []
     echelon = linalg._echelon
 
@@ -230,14 +273,17 @@ def _det_p_times_one_plus_i():
 
 
 @pytest.mark.parametrize(
-    "m",
-    [parse_matrix([[1, 0], [0, CERT_PRIME]]), _det_p_times_one_plus_i()],
+    "m, calls",
+    [
+        (parse_matrix([[1, 0], [0, CERT_PRIME]]), [1]),  # only the block [p] is singular mod p
+        (_det_p_times_one_plus_i(), [3]),
+    ],
     ids=["diag(1,p)", "det=p(1+i)/3"],
 )
-def test_invertible_matrix_singular_mod_p_takes_exact_path(m, exact_path_calls):
+def test_invertible_matrix_singular_mod_p_takes_exact_path(m, calls, exact_path_calls):
     assert oracle_rref.rank(m) == len(m)
     assert nullspace(m) == []
-    assert exact_path_calls == [len(m)]
+    assert exact_path_calls == calls
 
 
 def test_generic_invertible_matrix_is_decided_by_the_certificate(exact_path_calls):
@@ -246,17 +292,18 @@ def test_generic_invertible_matrix_is_decided_by_the_certificate(exact_path_call
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, calls",
     [
-        [[1, 2, 3], [2, 4, 6], [1, 1, 1]],  # square, nullity 1
-        [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]],  # tall, nullity 2
-        [[CERT_PRIME, 1], [CERT_PRIME * 2, 2]],  # singular with a multiple of p
-        [[0, 0], [0, 0]],  # zero matrix, nullity 2
+        ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], [3]),  # square, nullity 1
+        ([[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]], [4]),  # tall, nullity 2
+        ([[CERT_PRIME, 1], [CERT_PRIME * 2, 2]], [2]),  # singular with a multiple of p
+        ([[0, 0], [0, 0]], []),  # zero matrix, nullity 2: its blocks have no rows
     ],
+    ids=["rows0", "rows1", "rows2", "rows3"],
 )
-def test_singular_matrix_returns_its_full_kernel(rows, exact_path_calls):
+def test_singular_matrix_returns_its_full_kernel(rows, calls, exact_path_calls):
     m = parse_matrix(rows)
     basis = nullspace(m)
     assert basis == oracle_rref.nullspace(m)
     assert len(basis) == len(m[0]) - oracle_rref.rank(m) > 0
-    assert exact_path_calls == [len(m)]
+    assert exact_path_calls == calls

@@ -267,7 +267,7 @@ def _oracle_entries(rows):
     ],
 )
 def test_linalg_results_are_canonical_after_a_negative_pivot(matrix):
-    m = linalg.parse_matrix(matrix)
+    m = [[scalar(x) for x in row] for row in matrix]
     rows, pivots = linalg.rref(m)
     want_rows, want_pivots = oracle_rref.rref(m)
     assert pivots == want_pivots

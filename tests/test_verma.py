@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracle_dense import DenseOracle, oracle_monomials
 from oracle_worklist import worklist_act, worklist_gram
 from virloop.coeff_algebra import builtin_algebra, trivial_algebra, truncated_poly
+from virloop import linalg
 from virloop.linalg import SpanBasis, nullspace
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.verma import (
@@ -336,6 +337,39 @@ def test_radical_basis_equals_incremental_span_of_kernel(name, depth, d0, c):
             span.add({monos[i]: x for i, x in enumerate(ker) if x})
         assert vm.radical_basis(k) == span.vectors(), k
         assert vm.quotient_monomials(k) == [m for m in monos if m not in span.pivots()], k
+
+
+def _whole_rref(m):
+    """RREF rows and pivots from one elimination of the unsplit scaled matrix."""
+    ncols = len(m[0])
+    re_rows, im_rows, pivots, d = linalg._echelon(*linalg._scaled(m), ncols)
+    rows = [[linalg._entry(re_rows, im_rows, r, c, d) for c in range(ncols)] for r in range(len(pivots))]
+    return rows, pivots
+
+
+@pytest.mark.parametrize(
+    "d0,c,depth",
+    [
+        (["-3/8", "-3/8"], ["-2", "-2"], 7),  # both idempotents on the Kac (2,2) line
+        (["-3/8", "0"], ["-2", "-7"], 8),  # one factor degenerate at level 4, the other at level 1
+    ],
+)
+def test_split2_kac_radical_equals_whole_matrix_elimination(d0, c, depth):
+    algebra = builtin_algebra("split 2")
+    vm = VermaModule(algebra, HighestWeight(algebra, d0, c), depth)
+    for k in range(depth + 1):
+        gram, monos = vm.gram(k), vm.pbw_basis(k)
+        rows, pivots = _whole_rref(gram)
+        kernel = []
+        for f in (f for f in range(len(monos)) if f not in pivots):
+            vec = [ZERO] * len(monos)
+            vec[f] = ONE
+            for r, p in enumerate(pivots):
+                vec[p] = -rows[r][f]
+            kernel.append(vec)
+        assert nullspace(gram) == kernel, k
+        radical = _whole_rref(kernel)[0] if kernel else []
+        assert vm.radical_basis(k) == [{monos[i]: x for i, x in enumerate(row) if x} for row in radical], k
 
 
 def test_upper_triangle_gram_matches_dense_oracle_split2():
