@@ -35,7 +35,6 @@ from .config import (
     execute_probe,
     fixture_dump,
     hw_field,
-    iso_coeffs_cert,
     level_table,
     load_config,
     psi_field,
@@ -289,8 +288,9 @@ def _cmd_psi_sep(args) -> int:
 
 
 def _cmd_iso_coeffs(args) -> int:
-    values = [_scalar_field(getattr(args, name), f"--{name}") for name in ("A", "b1", "Q", "b2")]
-    return _emit_cert(iso_coeffs_cert(*values))
+    desc = {name: _scalar_field(getattr(args, name), f"--{name}") for name in ("A", "b1", "Q", "b2")}
+    # the coefficient system involves no module, so there is nothing to build
+    return _emit_cert(execute_probe(None, None, 0, {"kind": "iso-coeffs", **desc}))
 
 
 def _cmd_iso_check(args) -> int:
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="basis label or comma-separated coordinates in B")
     p.add_argument("--m", type=int, default=0, help="weight offset of the probed vector")
     p.add_argument("--n", type=int, required=True, help="top depth of the probed vector")
-    p.add_argument("--l-max", type=int, default=None, help="scan bound for the operator degree")
+    p.add_argument("--l-max", type=_positive_int, default=None, help="scan bound for the operator degree")
     p.set_defaults(func=_cmd_x_probe)
 
     p = sub.add_parser("cor31", help="pure-tensor ladder certificate for an ideal direction")
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth2", type=int, default=None)
     _add_window(p, default=(-4, 4))
     p.add_argument("--k", type=int, default=None, help="seed index on the live side")
-    p.add_argument("--degrees", type=int, default=5, help="number of operator degrees to verify")
+    p.add_argument("--degrees", type=_positive_int, default=5, help="number of operator degrees to verify")
     p.set_defaults(func=_cmd_psi_sep)
 
     p = sub.add_parser("iso-coeffs", help="coefficients of the grouped isomorphism polynomial")

@@ -3,13 +3,13 @@
 An algebra B is stored by structure constants over a fixed basis
 e_0, ..., e_{dim-1}; elements are dense coordinate tuples of Gaussian
 rationals.  The module provides the handful of operations the
-representation layer needs: products, unit tests and inverses, characters
-(one-dimensional representations), and exact ideal generation.
+representation layer needs: products, characters (one-dimensional
+representations), and exact ideal generation.
 """
 
 from __future__ import annotations
 
-from .linalg import SpanBasis, solve
+from .linalg import SpanBasis
 from .scalars import GaussianRational, ONE, ZERO, scalar
 
 BElem = tuple[GaussianRational, ...]
@@ -40,9 +40,6 @@ class AlgebraB:
                     raise ValueError("structure constants must be dim-length vectors")
 
     # -- element helpers -----------------------------------------------------
-
-    def zero(self) -> BElem:
-        return (ZERO,) * self.dim
 
     def basis_elem(self, j: int) -> BElem:
         if not 0 <= j < self.dim:
@@ -112,17 +109,7 @@ class AlgebraB:
             if self.mult(self.unit, basis[i]) != basis[i]:
                 raise ValueError(f"unit law fails: 1*{self.labels[i]} != {self.labels[i]}")
 
-    # -- units and ideals ------------------------------------------------------
-
-    def inverse(self, b: BElem):
-        """Multiplicative inverse of b, or None when b is not a unit."""
-        cols = [self.mult(b, self.basis_elem(j)) for j in range(self.dim)]
-        mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        x = solve(mat, list(self.unit))
-        return tuple(x) if x is not None else None
-
-    def is_unit(self, b: BElem) -> bool:
-        return self.inverse(b) is not None
+    # -- ideals ---------------------------------------------------------------
 
     def ideal_generated(self, b: BElem) -> list[BElem]:
         """Echelonized basis of the smallest ideal of B containing b.

@@ -24,10 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-import random
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import __version__
 from .coeff_algebra import AlgebraB, BElem, CharacterPsi, builtin_algebra
@@ -40,8 +38,8 @@ from .probes import (
     depth_reduction_probe,
     deserialize_tensor,
     endo_probe,
-    iso_poly_coeffs,
-    iso_poly_identity_check,
+    iso_coeffs_cert,
+    iso_identity_cert,
     psi_separation,
     pure_tensor_ladder_check,
 )
@@ -388,87 +386,6 @@ def default_weight_vector(tensor: TensorModule, m: int, n: int):
     return tensor.vector(entries)
 
 
-def _iso_identity_cert(seed: int, index: int, samples: int) -> ProbeCertificate:
-    """Seeded random instances of the coefficient-grouping identity.
-
-    Each sample must satisfy the grouped identity on the default grid and
-    must be flagged when the constant coefficient is perturbed by one.
-    """
-    rng = random.Random(f"{seed}:{index}:iso-identity")
-    rows = []
-    all_true = True
-    perturbation_detected = True
-    for _ in range(samples):
-        vals = []
-        for _ in range(4):
-            num = rng.randint(-9, 9)
-            den = rng.randint(1, 5)
-            vals.append(scalar(Fraction(num, den)))
-        a, b1, q, b2 = vals
-        holds = iso_poly_identity_check(a, b1, q, b2)
-        caught = not iso_poly_identity_check(a, b1, q, b2, perturbed=True)
-        all_true = all_true and holds
-        perturbation_detected = perturbation_detected and caught
-        rows.append(
-            {
-                "A": str(a),
-                "beta1": str(b1),
-                "Q": str(q),
-                "beta2": str(b2),
-                "identity": holds,
-                "perturbation_caught": caught,
-            }
-        )
-    status = STATUS_PASS if (all_true and perturbation_detected) else STATUS_FAIL
-    reasons = []
-    if not all_true:
-        reasons.append("grouped identity failed on a sampled parameter tuple")
-    if not perturbation_detected:
-        reasons.append("perturbed constant term went undetected")
-    return ProbeCertificate(
-        kind="iso-identity",
-        status=status,
-        params={"samples": samples, "seed": seed},
-        facts={
-            "all_identities_hold": all_true,
-            "perturbation_always_detected": perturbation_detected,
-            "samples": rows,
-        },
-        reasons=reasons,
-    )
-
-
-def iso_coeffs_cert(a, b1, q, b2) -> ProbeCertificate:
-    """Coefficient extraction plus the grouped-identity check on the default grid."""
-    a, b1, q, b2 = scalar(a), scalar(b1), scalar(q), scalar(b2)
-    c_mnsum, c_lin, c_mn, c_sq, c_const = iso_poly_coeffs(a, b1, q, b2)
-    holds = iso_poly_identity_check(a, b1, q, b2)
-    caught = not iso_poly_identity_check(a, b1, q, b2, perturbed=True)
-    status = STATUS_PASS if (holds and caught) else STATUS_FAIL
-    reasons = []
-    if not holds:
-        reasons.append("grouped identity failed on the default grid")
-    if not caught:
-        reasons.append("perturbed constant term went undetected")
-    return ProbeCertificate(
-        kind="iso-coeffs",
-        status=status,
-        params={"A": str(a), "beta1": str(b1), "Q": str(q), "beta2": str(b2)},
-        facts={
-            "coefficients": {
-                "mn_times_sum": str(c_mnsum),
-                "linear": str(c_lin),
-                "mn": str(c_mn),
-                "squares": str(c_sq),
-                "constant": str(c_const),
-            },
-            "identity_on_grid": holds,
-            "perturbation_detected": caught,
-        },
-        reasons=reasons,
-    )
-
-
 def execute_probe(cfg: RunConfig, tensor, index: int, desc: dict) -> ProbeCertificate:
     """Run one validated probe descriptor (as `load_config` returns it) on cfg's modules."""
     kind = desc["kind"]
@@ -494,7 +411,7 @@ def execute_probe(cfg: RunConfig, tensor, index: int, desc: dict) -> ProbeCertif
         _, tensor2 = build_modules(replace(cfg, **{k: v for k, v in second.items() if v is not None}))
         return psi_separation(tensor, tensor2, cfg.window, k=desc["k"], num_l=desc["degrees"])
     if kind == "iso-identity":
-        return _iso_identity_cert(cfg.seed, index, desc["samples"])
+        return iso_identity_cert(cfg.seed, index, desc["samples"])
     if kind == "iso-coeffs":
         return iso_coeffs_cert(desc["A"], desc["b1"], desc["Q"], desc["b2"])
     raise ConfigError(f"probes[{index}].kind", f"unhandled kind {kind!r}")

@@ -42,11 +42,6 @@ class IntParams:
     beta: GaussianRational
     psi: CharacterPsi | None = None
 
-    @property
-    def normalized(self) -> bool:
-        a0, shift = normalize_alpha(self.alpha)
-        return shift == 0 and self.beta != ONE
-
 
 INDEX_ALL = "Z"
 INDEX_NONZERO = "Z-0"

@@ -6,7 +6,7 @@ Two flavours are used throughout the package:
 * sparse vectors as dicts keyed by arbitrary orderable coordinates, for
   span closures (ideal generation, submodule search, generation checks).
 
-Dense elimination (`rref`, `rank`, `nullspace`, `solve`) runs on one
+Dense elimination (`rref` and `nullspace`) runs on one
 fraction-free engine over the Gaussian integers Z[i]:
 
 * Each row is multiplied by the lcm of its denominators.  Scaling a row
@@ -247,10 +247,6 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     return rows, [p for p, _ in found]
 
 
-def rank(matrix: Matrix) -> int:
-    return sum(len(pivots) for _, _, _, pivots, _ in _eliminate(matrix)) if matrix else 0
-
-
 def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:
     """Basis of {x : A x = 0}, echelonized with one vector per free column.
 
@@ -277,27 +273,6 @@ def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:
     return [vec for _, vec in found]
 
 
-def solve(matrix: Matrix, target: list[GaussianRational]):
-    """One exact solution of A x = target, or None if the system is inconsistent.
-
-    Free unknowns are 0, so only the block holding the target column sets x.
-    """
-    if not matrix:
-        return None
-    ncols = len(matrix[0])
-    aug = [list(row) + [t] for row, t in zip(matrix, target)]
-    x = [ZERO] * ncols
-    for cols, re_rows, im_rows, pivots, d in _eliminate(aug):
-        last = len(cols) - 1
-        if cols[last] != ncols:
-            continue
-        if last in pivots:
-            return None
-        for r, p in enumerate(pivots):
-            x[cols[p]] = _entry(re_rows, im_rows, r, last, d)
-    return x
-
-
 class SpanBasis:
     """Incrementally maintained reduced echelon basis of sparse vectors.
 
@@ -307,8 +282,7 @@ class SpanBasis:
     the basis is canonical for the span regardless of insertion order.
     """
 
-    def __init__(self, key=None):
-        self._key = key
+    def __init__(self):
         self._rows: dict[object, SparseVec] = {}
 
     @classmethod
@@ -325,10 +299,6 @@ class SpanBasis:
         return basis
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def dim(self) -> int:
         return len(self._rows)
 
     def reduce(self, vec: SparseVec) -> SparseVec:
@@ -355,7 +325,7 @@ class SpanBasis:
         rem = self.reduce(vec)
         if not rem:
             return False
-        pivot = min(rem, key=self._key) if self._key else min(rem)
+        pivot = min(rem)
         inv = ONE / rem[pivot]
         row = {c: v * inv for c, v in rem.items()}
         for other in self._rows.values():
@@ -378,8 +348,7 @@ class SpanBasis:
 
     def vectors(self) -> list[SparseVec]:
         """Echelon basis sorted by pivot coordinate."""
-        keys = sorted(self._rows, key=self._key) if self._key else sorted(self._rows)
-        return [dict(self._rows[k]) for k in keys]
+        return [dict(self._rows[k]) for k in sorted(self._rows)]
 
     def support(self) -> set:
         out = set()

@@ -22,7 +22,8 @@ The probes:
   together with the annihilation dichotomy that makes it module-theoretic.
 * `iso_poly_coeffs` / `iso_poly_identity_check`: the grouped coefficient
   system extracted from the intertwining constraint, certified as a
-  polynomial identity on an integer grid.
+  polynomial identity on an integer grid (`iso_coeffs_cert` for one
+  parameter tuple, `iso_identity_cert` for seeded random ones).
 * `iso_signature` / `iso_check`: the complete isomorphism invariant
   (character, highest weight, normalized alpha and beta).
 """
@@ -30,7 +31,9 @@ The probes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, fields
+from fractions import Fraction
 
 from .coeff_algebra import AlgebraB, CharacterPsi
 from .linalg import SpanBasis, nullspace
@@ -68,10 +71,6 @@ class ProbeCertificate:
     facts: dict = field(default_factory=dict)
     applications: list = field(default_factory=list)
     reasons: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == STATUS_PASS
 
     def to_dict(self) -> dict:
         return {
@@ -401,45 +400,27 @@ def depth_reduction_probe(
     if reasons:
         return ProbeCertificate("depth-reduction", STATUS_UNSATISFIABLE, params, reasons=reasons)
 
-    if tensor.is_zero(w_vec):
-        return ProbeCertificate(
-            "depth-reduction",
-            STATUS_UNSATISFIABLE,
-            params,
-            reasons=["input vector is zero"],
-        )
+    # the input must be a nonzero weight vector of offset m and top depth n;
+    # then the dichotomy on its deepest component: a depth-n vector killed by
+    # both d_1 (x) b and d_2 (x) b would be a singular vector of the
+    # irreducible quotient below the top line, and none exist
     offsets = {k - i for (i, _mono, k) in w_vec}
-    if offsets != {m}:
-        return ProbeCertificate(
-            "depth-reduction",
-            STATUS_UNSATISFIABLE,
-            params,
-            reasons=[f"input is not a weight vector of offset {m}; offsets {sorted(offsets)}"],
-        )
-    top = _top_level(w_vec)
-    if top != n:
-        return ProbeCertificate(
-            "depth-reduction",
-            STATUS_UNSATISFIABLE,
-            params,
-            reasons=[f"top quotient depth of the input is {top}, not n = {n}"],
-        )
-
-    # dichotomy on the deepest component: a depth-n vector killed by both
-    # d_1 (x) b and d_2 (x) b would be a singular vector of the irreducible
-    # quotient below the top line, and none exist
     x_top = _level_component(w_vec, n)
-    _t1, d1_image = tensor.verma.act_on_vphi(d_gen(1, b), n, x_top)
-    if not d1_image:
-        _t2, d2_image = tensor.verma.act_on_vphi(d_gen(2, b), n, x_top)
+    if tensor.is_zero(w_vec):
+        reasons.append("input vector is zero")
+    elif offsets != {m}:
+        reasons.append(f"input is not a weight vector of offset {m}; offsets {sorted(offsets)}")
+    elif (top := _top_level(w_vec)) != n:
+        reasons.append(f"top quotient depth of the input is {top}, not n = {n}")
+    elif not tensor.verma.act_on_vphi(d_gen(1, b), n, x_top)[1]:
         reason = "d_1 (x) b kills the deepest component x_{-n}"
-        if d2_image:
+        if tensor.verma.act_on_vphi(d_gen(2, b), n, x_top)[1]:
             reason += "; d_2 (x) b does not, and this probe implements only the d_1 route"
         else:
             reason += " and so does d_2 (x) b"
-        return ProbeCertificate(
-            "depth-reduction", STATUS_UNSATISFIABLE, params, reasons=[reason]
-        )
+        reasons.append(reason)
+    if reasons:
+        return ProbeCertificate("depth-reduction", STATUS_UNSATISFIABLE, params, reasons=reasons)
 
     seed = tensor.seed(m + n)
     attempts = []
@@ -842,6 +823,76 @@ def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) ->
     return True
 
 
+_ISO_PARAMS = ("A", "beta1", "Q", "beta2")
+
+
+def _identity_verdict(tuples, where: str) -> tuple[list[tuple[bool, bool]], str, list[str]]:
+    """The grouped identity and its perturbed control on each (A, b1, Q, b2) tuple.
+
+    Returns (identity holds, perturbation caught) for every tuple, then a
+    status that passes only when every identity holds and every
+    perturbation is caught, and the reasons for a fail.
+    """
+    checks = [
+        (iso_poly_identity_check(*t), not iso_poly_identity_check(*t, perturbed=True))
+        for t in tuples
+    ]
+    reasons = []
+    if not all(holds for holds, _ in checks):
+        reasons.append(f"grouped identity failed {where}")
+    if not all(caught for _, caught in checks):
+        reasons.append("perturbed constant term went undetected")
+    return checks, STATUS_FAIL if reasons else STATUS_PASS, reasons
+
+
+def iso_identity_cert(seed: int, index: int, samples: int) -> ProbeCertificate:
+    """Seeded random instances of the coefficient-grouping identity.
+
+    Each sample must satisfy the grouped identity on the default grid and
+    must be flagged when the constant coefficient is perturbed by one.
+    """
+    rng = random.Random(f"{seed}:{index}:iso-identity")
+    tuples = [
+        tuple(scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(4))
+        for _ in range(samples)
+    ]
+    checks, status, reasons = _identity_verdict(tuples, "on a sampled parameter tuple")
+    rows = [
+        {**dict(zip(_ISO_PARAMS, map(str, t))), "identity": holds, "perturbation_caught": caught}
+        for t, (holds, caught) in zip(tuples, checks)
+    ]
+    return ProbeCertificate(
+        kind="iso-identity",
+        status=status,
+        params={"samples": samples, "seed": seed},
+        facts={
+            "all_identities_hold": all(holds for holds, _ in checks),
+            "perturbation_always_detected": all(caught for _, caught in checks),
+            "samples": rows,
+        },
+        reasons=reasons,
+    )
+
+
+def iso_coeffs_cert(a, b1, q, b2) -> ProbeCertificate:
+    """Coefficient extraction plus the grouped-identity check on the default grid."""
+    t = (scalar(a), scalar(b1), scalar(q), scalar(b2))
+    names = ("mn_times_sum", "linear", "mn", "squares", "constant")
+    coefficients = {name: str(c) for name, c in zip(names, iso_poly_coeffs(*t))}
+    [(holds, caught)], status, reasons = _identity_verdict([t], "on the default grid")
+    return ProbeCertificate(
+        kind="iso-coeffs",
+        status=status,
+        params=dict(zip(_ISO_PARAMS, map(str, t))),
+        facts={
+            "coefficients": coefficients,
+            "identity_on_grid": holds,
+            "perturbation_detected": caught,
+        },
+        reasons=reasons,
+    )
+
+
 @dataclass(frozen=True)
 class IsoSignature:
     """Complete isomorphism invariant of a tensor module.
@@ -887,26 +938,13 @@ def iso_signature(
 
 def iso_check(s1: IsoSignature, s2: IsoSignature) -> bool:
     """Componentwise equality of signatures, the complete isomorphism test."""
-    return (
-        s1.psi_values == s2.psi_values
-        and s1.phi_d0_values == s2.phi_d0_values
-        and s1.phi_c_values == s2.phi_c_values
-        and s1.alpha == s2.alpha
-        and s1.beta == s2.beta
-    )
+    return not iso_differences(s1, s2)
 
 
 def iso_differences(s1: IsoSignature, s2: IsoSignature) -> list[str]:
     """Names of the signature components where s1 and s2 differ."""
-    out = []
-    if s1.psi_values != s2.psi_values:
-        out.append("psi")
-    if s1.phi_d0_values != s2.phi_d0_values:
-        out.append("phi_d0")
-    if s1.phi_c_values != s2.phi_c_values:
-        out.append("phi_c")
-    if s1.alpha != s2.alpha:
-        out.append("alpha")
-    if s1.beta != s2.beta:
-        out.append("beta")
-    return out
+    return [
+        f.name.removesuffix("_values")
+        for f in fields(IsoSignature)
+        if getattr(s1, f.name) != getattr(s2, f.name)
+    ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .intermediate import IntModule
 from .linalg import SpanBasis
-from .scalars import GaussianRational, ONE, ZERO, scalar
+from .scalars import ONE, ZERO, scalar
 from .verma import DepthExceededError, VermaModule
 from .virasoro import Generator, KIND_D, LieElement, WordSum
 
@@ -115,36 +115,18 @@ class TensorModule:
                 _add_entry(out, key, coeff * c)
         return out
 
-    def act_word(self, factors, vec: TensorVector) -> TensorVector:
-        """Apply a factor sequence, rightmost first."""
-        for gen in reversed(tuple(factors)):
-            vec = self.act(gen, vec)
-        return vec
-
     def act_words(self, words: WordSum, vec: TensorVector) -> TensorVector:
+        """Apply a sum of factor sequences, each rightmost factor first."""
         out: TensorVector = {}
         for factors, coeff in words.words.items():
-            part = self.act_word(factors, vec)
+            part = vec
+            for gen in reversed(factors):
+                part = self.act(gen, part)
             for key, c in part.items():
                 _add_entry(out, key, coeff * c)
         return out
 
     # -- weights ----------------------------------------------------------------------
-
-    def weight_split(self, x: TensorVector) -> dict[int, TensorVector]:
-        """Group by weight offset n = k - i; the pieces sum back to x."""
-        out: dict[int, TensorVector] = {}
-        for (i, mono, k), c in x.items():
-            out.setdefault(k - i, {})[(i, mono, k)] = c
-        return out
-
-    def weight_of_offset(self, n: int) -> GaussianRational:
-        """The weight φ(d_0) + α + n shared by all offset-n summands."""
-        return (
-            self.verma.hw.of_d0(self.algebra.unit)
-            + self.intermediate.params.alpha
-            + scalar(n)
-        )
 
     def weight_space_dim(self, n: int, depth: int | None = None) -> int:
         """Truncated dimension of the offset-n weight space."""

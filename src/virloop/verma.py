@@ -350,7 +350,7 @@ class VermaModule:
         the empty monomial.  For the irreducible quotient this must succeed
         for every nonzero vec.
         """
-        span = SpanBasis(key=lambda key: (key[0], key[1]))
+        span = SpanBasis()
         start = {(k, mono): c for mono, c in self.vphi_reduce(k, vec).items()}
         if not start:
             return False

@@ -21,7 +21,6 @@ Two element layers coexist:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .coeff_algebra import AlgebraB, BElem
@@ -183,23 +182,6 @@ class LieElement:
                                     acc.pop(key, None)
         return LieElement(self.algebra, acc)
 
-    def triangular_part(self):
-        """Split into (negative, zero, positive) degree parts; C is degree zero."""
-        neg, zero, pos = {}, {}, {}
-        for key, coeff in self.terms.items():
-            degree = key[0]
-            if key[1] == KIND_C or degree == 0:
-                zero[key] = coeff
-            elif degree < 0:
-                neg[key] = coeff
-            else:
-                pos[key] = coeff
-        return (
-            LieElement(self.algebra, neg),
-            LieElement(self.algebra, zero),
-            LieElement(self.algebra, pos),
-        )
-
     # -- conversion and display --------------------------------------------------
 
     def sorted_terms(self):
@@ -233,10 +215,6 @@ class WordSum:
         if words:
             for factors, coeff in words.items():
                 self.add_word(factors, coeff)
-
-    @classmethod
-    def identity(cls, algebra: AlgebraB) -> "WordSum":
-        return cls(algebra, {(): ONE})
 
     @classmethod
     def single(cls, algebra: AlgebraB, gen: Generator, coeff=1) -> "WordSum":
@@ -303,140 +281,3 @@ class WordSum:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def word_multiply(u: WordSum, v: WordSum) -> WordSum:
-    return u * v
-
-
-# -- text notation ------------------------------------------------------------
-#
-# element := term (('+'|'-') term)*
-# term    := [scalar '*'] gen ['*' bfactor]
-# gen     := 'd[n]' | 'C'
-# bfactor := 'e<j>' or one of the algebra's basis labels
-# scalar  := anything scalars.scalar() accepts, optionally parenthesized
-
-_GEN_RE = re.compile(r"^(?:d\[(-?\d+)\]|C)$")
-_EINDEX_RE = re.compile(r"^e(\d+)$")
-
-
-def _split_top_level(text: str) -> list[tuple[int, str]]:
-    """Split on +/- outside brackets; returns (sign, chunk) pairs."""
-    chunks = []
-    depth = 0
-    sign = 1
-    cur: list[str] = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and ch in "+-":
-            body = "".join(cur).strip()
-            if not body:
-                sign = sign if ch == "+" else -sign
-                continue
-            if body[-1] not in "*+-":
-                chunks.append((sign, body))
-                sign = 1 if ch == "+" else -1
-                cur = []
-                continue
-        cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    last = "".join(cur).strip()
-    if last:
-        chunks.append((sign, last))
-    return chunks
-
-
-def _resolve_bfactor(algebra: AlgebraB, token: str) -> int:
-    m = _EINDEX_RE.match(token)
-    if m:
-        j = int(m.group(1))
-        if j >= algebra.dim:
-            raise ValueError(f"B-basis index {j} out of range for dim {algebra.dim}")
-        return j
-    if token in algebra.labels:
-        return algebra.labels.index(token)
-    raise ValueError(f"unknown B-basis factor {token!r}")
-
-
-def parse_element(algebra: AlgebraB, text: str) -> LieElement:
-    """Parse "d[n]*b" / "C*b" sums with scalar prefixes into a LieElement.
-
-    A missing B factor means tensoring with the unit of B.  Examples:
-    "d[-1]*e0 + 2*d[3]", "(1/2+i)*C*e1 - d[0]".
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty element expression")
-    if text == "0":
-        return LieElement.zero(algebra)
-    acc: dict = {}
-    for sign, chunk in _split_top_level(text):
-        if not chunk:
-            raise ValueError(f"empty term in {text!r}")
-        factors = [f.strip() for f in _split_star(chunk)]
-        coeff = scalar(sign)
-        gen_token = None
-        bindex = None
-        for tok in factors:
-            if not tok:
-                raise ValueError(f"empty factor in term {chunk!r}")
-            inner = tok[1:-1].strip() if tok.startswith("(") and tok.endswith(")") else tok
-            if gen_token is None and _GEN_RE.match(inner):
-                gen_token = inner
-                continue
-            if gen_token is not None and bindex is None:
-                try:
-                    bindex = _resolve_bfactor(algebra, inner)
-                    continue
-                except ValueError:
-                    pass
-            try:
-                coeff = coeff * scalar(inner)
-                continue
-            except ValueError:
-                pass
-            raise ValueError(f"cannot interpret factor {tok!r} in {chunk!r}")
-        if gen_token is None:
-            raise ValueError(f"term {chunk!r} has no d[n] or C generator")
-        m = _GEN_RE.match(gen_token)
-        if m.group(1) is not None:
-            degree, kind = _check_degree(int(m.group(1))), KIND_D
-        else:
-            degree, kind = 0, KIND_C
-        if bindex is None:
-            targets = [(j, c) for j, c in enumerate(algebra.unit) if c]
-        else:
-            targets = [(bindex, ONE)]
-        for j, c in targets:
-            key = (degree, kind, j)
-            s = acc.get(key, ZERO) + coeff * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return LieElement(algebra, acc)
-
-
-def _split_star(chunk: str) -> list[str]:
-    out = []
-    depth = 0
-    cur = []
-    for ch in chunk:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out

@@ -419,6 +419,24 @@ def test_cli_int_module_degree_below_one_is_config_error(degree, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
+          "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--degrees", "0"], "--degrees"),
+        (["x-probe", "--case", "I", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2",
+          "--beta", "2", "--b", "e0", "--n", "1", "--l-max", "0"], "--l-max"),
+    ],
+    ids=["psi-sep-degrees", "x-probe-l-max"],
+)
+def test_cli_probe_bound_below_one_is_config_error(argv, flag, capsys):
+    # `run` rejects the same bounds through config._validate_probe
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
     "alpha, beta, kmin, kmax",
     [("0", "0", "0", "0"), ("0", "0", "0", "1"), ("1/2", "1/3", "3", "3")],
 )
@@ -756,6 +774,11 @@ CLI_CONFIG_PAIRS = [
          "probes": [{"kind": "psi-separation", "psi2": ["0", "1"], "alpha2": "1/3",
                      "beta2": "2", "phi2": {"d0": ["3", "4"], "c": ["1", "0"]}, "depth2": 2,
                      "k": 1, "degrees": 3}]},
+    ),
+    (
+        ["iso-coeffs", "--A", "1", "--b1", "2", "--Q", "1/2", "--b2", "3"],
+        {"algebra": "trivial", "phi": {"d0": ["0"]},
+         "probes": [{"kind": "iso-coeffs", "A": "1", "b1": "2", "Q": "1/2", "b2": "3"}]},
     ),
 ]
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle_rref
 from virloop.coeff_algebra import (
     AlgebraB,
     CharacterPsi,
@@ -18,6 +19,12 @@ from virloop.scalars import ONE, ZERO, scalar
 
 def coords(B, *vals):
     return B.elem(list(vals))
+
+
+def mult_matrix(B, b):
+    """The matrix of x -> b·x in the basis of B: column j holds b·e_j."""
+    cols = [B.mult(b, B.basis_elem(j)) for j in range(B.dim)]
+    return [[cols[j][i] for j in range(B.dim)] for i in range(B.dim)]
 
 
 def test_builtins_pass_validate():
@@ -45,10 +52,10 @@ def test_builtin_name_resolution():
 def test_mult_examples():
     B = truncated_poly(2)
     t = B.basis_elem(1)
-    assert B.mult(t, t) == B.zero()
+    assert B.mult(t, t) == (ZERO,) * B.dim
 
     B2 = split_algebra(2)
-    assert B2.mult(B2.basis_elem(0), B2.basis_elem(1)) == B2.zero()
+    assert B2.mult(B2.basis_elem(0), B2.basis_elem(1)) == (ZERO,) * B2.dim
 
     B3 = truncated_poly(3)
     t = B3.basis_elem(1)
@@ -109,17 +116,20 @@ def test_character_of_is_linear():
 
 
 def test_units_and_inverses():
+    # a unit generates all of B and b·x = 1 is solvable; a non-unit neither
     B = truncated_poly(3)
     one_plus_t = B.elem([1, 1, 0])
-    inv = B.inverse(one_plus_t)
-    assert inv is not None
-    assert B.mult(one_plus_t, inv) == B.unit
-    assert inv == B.elem([1, -1, 1])
-    assert not B.is_unit(B.basis_elem(1))
+    inv = oracle_rref.solve(mult_matrix(B, one_plus_t), list(B.unit))
+    assert inv == list(B.elem([1, -1, 1]))
+    assert B.mult(one_plus_t, tuple(inv)) == B.unit
+    assert len(B.ideal_generated(one_plus_t)) == B.dim
+    t = B.basis_elem(1)
+    assert oracle_rref.solve(mult_matrix(B, t), list(B.unit)) is None
+    assert len(B.ideal_generated(t)) < B.dim
 
     Bs = split_algebra(2)
-    assert Bs.is_unit(Bs.elem([1, -1]))
-    assert not Bs.is_unit(Bs.basis_elem(0))
+    assert len(Bs.ideal_generated(Bs.elem([1, -1]))) == Bs.dim
+    assert len(Bs.ideal_generated(Bs.basis_elem(0))) < Bs.dim
 
 
 def test_ideal_generated_examples():
@@ -174,10 +184,10 @@ def test_algebra_axioms_on_random_elements(name, xs, ys, zs):
 
 @given(st.lists(small_vals, min_size=4, max_size=4))
 def test_unit_iff_solvable(vals):
+    # ideal_generated(b) is all of B exactly when b·x = 1 is solvable
     B = cyclic_group_algebra(4)
     b = B.elem(vals)
-    inv = B.inverse(b)
-    if inv is not None:
-        assert B.mult(b, inv) == B.unit
-    else:
-        assert len(B.ideal_generated(b)) < B.dim or all(v == 0 for v in vals)
+    x = oracle_rref.solve(mult_matrix(B, b), list(B.unit))
+    assert (len(B.ideal_generated(b)) == B.dim) == (x is not None)
+    if x is not None:
+        assert B.mult(b, tuple(x)) == B.unit

@@ -1,4 +1,4 @@
-"""Exact elimination: rref, nullspace, solve, and the incremental span basis."""
+"""Exact elimination: rref, nullspace, and the incremental span basis."""
 
 from fractions import Fraction
 
@@ -15,9 +15,7 @@ from virloop.linalg import (
     CERT_SQRT_MINUS_ONE,
     SpanBasis,
     nullspace,
-    rank,
     rref,
-    solve,
 )
 from virloop.scalars import ONE, ZERO, GaussianRational, scalar
 
@@ -41,7 +39,7 @@ def test_rref_rank_deficient():
     m = parse_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     rows, pivots = rref(m)
     assert pivots == [0, 1]
-    assert rank(m) == 2
+    assert len(pivots) == oracle_rref.rank(m) == 2
     assert all(x == ZERO for x in rows[2])
 
 
@@ -66,20 +64,12 @@ def test_nullspace_gaussian_entries():
     assert m[0][0] * v[0] + m[0][1] * v[1] == ZERO
 
 
-def test_solve_consistent_and_inconsistent():
-    m = parse_matrix([[2, 0], [0, 3]])
-    x = solve(m, [scalar(4), scalar(6)])
-    assert x == [scalar(2), scalar(2)]
-    m2 = parse_matrix([[1, 1], [1, 1]])
-    assert solve(m2, [scalar(1), scalar(2)]) is None
-
-
 def test_span_basis_growth_and_membership():
     sb = SpanBasis()
     assert sb.add({"a": ONE, "b": gr(2)})
     assert sb.add({"b": ONE})
     assert not sb.add({"a": gr(3), "b": gr(-1)})
-    assert sb.dim == 2
+    assert len(sb) == 2
     assert sb.contains({"a": gr(5)})
     assert not sb.contains({"c": ONE})
 
@@ -93,13 +83,6 @@ def test_span_basis_canonical_under_insertion_order():
     for v in reversed(vecs):
         sb2.add(dict(v))
     assert sb1.vectors() == sb2.vectors()
-
-
-def test_span_basis_key_function():
-    sb = SpanBasis(key=lambda c: -c)
-    sb.add({1: ONE, 5: ONE})
-    (row,) = sb.vectors()
-    assert row[5] == ONE
 
 
 coords = st.lists(
@@ -143,7 +126,7 @@ def test_nullspace_vectors_annihilate(nr, nc, data):
         for _ in range(nr)
     ]
     basis = nullspace(m)
-    assert len(basis) == nc - rank(m)
+    assert len(basis) == nc - len(rref(m)[1])
     for v in basis:
         for row in m:
             assert sum((a * b for a, b in zip(row, v)), ZERO) == ZERO
@@ -155,8 +138,8 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
 @st.composite
-def qi_systems(draw):
-    """A random Q(i) matrix with a right-hand side; some rows, columns or copies zeroed."""
+def qi_matrices(draw):
+    """A random Q(i) matrix; some rows or columns zeroed, or a row a copy of another."""
     nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     complex_entries = draw(st.booleans())
     entry = st.builds(GaussianRational, rationals, rationals if complex_entries else st.just(0))
@@ -170,18 +153,15 @@ def qi_systems(draw):
         src, dst = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
         factor = draw(entry)
         m[dst] = [factor * x for x in m[src]]
-    target = [draw(entry) for _ in range(nr)]
-    return m, target
+    return m
 
 
 @settings(max_examples=300)
-@given(qi_systems())
-def test_elimination_equals_fraction_oracle(system):
-    m, target = system
+@given(qi_matrices())
+def test_elimination_equals_fraction_oracle(m):
     assert rref(m) == oracle_rref.rref(m)
-    assert rank(m) == oracle_rref.rank(m)
+    assert len(rref(m)[1]) == oracle_rref.rank(m)
     assert nullspace(m) == oracle_rref.nullspace(m)
-    assert solve(m, target) == oracle_rref.solve(m, target)
 
 
 @st.composite
@@ -220,7 +200,7 @@ def permuted_block_matrices(draw):
 @given(permuted_block_matrices())
 def test_block_split_elimination_equals_fraction_oracle(m):
     assert rref(m) == oracle_rref.rref(m)
-    assert rank(m) == oracle_rref.rank(m)
+    assert len(rref(m)[1]) == oracle_rref.rank(m)
     assert nullspace(m) == oracle_rref.nullspace(m)
 
 
@@ -236,7 +216,7 @@ def test_level_9_gram_kernel_equals_fraction_oracle(d0, c, nullity):
     expected = oracle_rref.nullspace(gram)
     assert len(expected) == nullity
     assert nullspace(gram) == expected
-    assert rank(gram) == len(gram) - nullity
+    assert len(rref(gram)[1]) == len(gram) - nullity
 
 
 # -- the modular certificate never decides a nonzero nullity -------------------------

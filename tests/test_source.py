@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,116 @@ def f(x: "Any") -> "Optional[str]":
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_src_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Definitions nothing in src/virloop calls, kept because something outside it reads them.
+READ_OUTSIDE_SRC = {
+    "_Parser.error": "argparse, on a malformed argument",
+    "GaussianRational.conjugate": "tests/test_scalars.py against tests/oracle_scalars.py",
+    "GaussianRational.im": "bench/reference.py, bench/tracing.py, tests/test_scalars.py",
+    "GaussianRational.re": "bench/reference.py, bench/tracing.py, tests/test_scalars.py",
+    "IntModule.act_lie": "tests/test_acceptance.py (criterion 2), tests/test_intermediate.py",
+    "IntModule.basis_vector": "tests/test_acceptance.py (criterion 2), tests/test_intermediate.py",
+    "IntModule.submodule_closure": "tests/test_acceptance.py (criterion 2), the closure oracle",
+    "LieElement.bracket": "tests/test_acceptance.py (criteria 1 and 2), tests/test_virasoro.py",
+    "LieElement.central": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
+    "LieElement.d": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
+    "LieElement.zero": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
+    "TensorModule.act_lie": "tests/test_tensor_product.py",
+    "VermaModule.form_value": "tests/test_acceptance.py (criterion 3), tests/test_verma.py",
+    "c_gen": "tests/test_verma.py, tests/test_tensor_product.py, tests/test_intermediate.py",
+    "monomial_word": "tests/test_acceptance.py, tests/oracle_worklist.py",
+    "normal_order": "tests/test_acceptance.py, tests/oracle_worklist.py, bench/tracing.py",
+    "omega_word": "tests/test_verma.py, tests/oracle_worklist.py",
+    "replay_certificate": "tests/test_probes.py, bench/workloads.py, bench/tracing.py",
+}
+
+
+def _reads(node) -> Counter:
+    """Reads below node: ("name", x) for a bare or quoted-annotation name, ("attr", x) for .x."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            reads["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            reads["attr", sub.attr] += 1
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            reads.update(("name", x) for x in _quoted_names(sub.annotation))
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
+            reads.update(("name", x) for x in _quoted_names(sub.returns))
+    return reads
+
+
+def dead_definitions(sources: list) -> list:
+    """Module-level functions and classes, and methods, that no other code in sources reads.
+
+    A module-level definition is read by its bare name, a method as an
+    attribute of anything (`obj.name`), so a local variable never hides a
+    dead method of the same name.  Reads inside a definition's own body
+    (recursion) do not count, and dunder methods, which the interpreter
+    calls, are never reported.  Methods come as "Class.name".
+    """
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    dead = []
+
+    def visit(body, prefix, how):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            key = (how, node.name)
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and reads[key] == _reads(node)[key]:
+                dead.append(prefix + node.name)
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", "attr")
+
+    for tree in trees:
+        visit(tree.body, "", "name")
+    return sorted(dead)
+
+
+def test_dead_definitions_detects_and_spares():
+    first = '''
+class Shape:
+    def __init__(self, n: int):
+        self.n = n
+
+    def area(self) -> "Shape":
+        return self.grow()
+
+    def grow(self):
+        return Shape(self.n + 1)
+
+    def orphan(self):
+        return self.orphan()
+
+    def size(self):
+        return self.n
+
+
+def volume(size):
+    return size * size
+
+
+def countdown(n):
+    return countdown(n - 1) if n else 0
+
+
+def main():
+    return Shape(2).area()
+'''
+    second = '''
+from first import main, volume
+
+main()
+volume(3)
+'''
+    assert dead_definitions([first, second]) == ["Shape.orphan", "Shape.size", "countdown"]
+
+
+def test_src_defines_nothing_that_nothing_reads():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    dead = dead_definitions(sources)
+    assert sorted(set(dead) - set(READ_OUTSIDE_SRC)) == []
+    assert set(READ_OUTSIDE_SRC) <= set(dead), "an allowlisted name is read in src or gone"

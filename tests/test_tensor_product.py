@@ -75,32 +75,25 @@ def test_depth_guard_is_hard():
     assert tm.act(d_gen(-1, TRIV.unit), x)
 
 
-def test_weight_split_examples():
-    tm = make_module()
-    assert tm.weight_split(tm.seed(3)) == {3: tm.seed(3)}
-    mixed = {(1, ((1, 0),), 3): ONE, (0, (), 2): ONE}
-    assert tm.weight_split(mixed) == {2: mixed}
-    assert tm.weight_split({}) == {}
-
-
 def test_weight_bookkeeping_under_d0():
+    # the summand (i, mono, k) has weight φ(d_0) + α + (k - i)
     tm = make_module(h="1/3", alpha="1/2", beta="2")
     d0 = d_gen(0, TRIV.unit)
     for n in (-2, 0, 3):
         x = {(1, ((1, 0),), n + 1): ONE, (0, (), n): scalar(2)}
         got = tm.act(d0, x)
-        lam = tm.weight_of_offset(n)
+        lam = scalar("1/3") + scalar("1/2") + scalar(n)
         assert got == {key: lam * c for key, c in x.items()}
 
 
 def test_action_shifts_weight_by_degree():
+    # d_n moves every summand from weight offset k - i to offset k - i + n
     tm = make_module()
     x = tm.seed(2)
     for deg in (-2, -1, 1, 2):
         y = tm.act(d_gen(deg, TRIV.unit), x)
         if y:
-            split = tm.weight_split(y)
-            assert set(split) == {2 + deg}
+            assert {k - i for (i, _mono, k) in y} == {2 + deg}
 
 
 def test_weight_space_dim_counts_levels():
