@@ -48,6 +48,7 @@ from .probes import (
     STATUS_PASS,
     STATUS_UNSATISFIABLE,
     ProbeCertificate,
+    ProbeRun,
     iso_check,
     iso_differences,
     iso_signature,
@@ -299,10 +300,9 @@ def _cmd_iso_check(args) -> int:
     hw2 = hw_field(algebra, args.phi2_d0, args.phi2_c, "--phi2-d0", "--phi2-c")
     psi1 = psi_field(algebra, args.psi1, "--psi1")
     psi2 = psi_field(algebra, args.psi2, "--psi2")
-    alpha1 = _scalar_field(args.alpha1, "--alpha1")
-    beta1 = _scalar_field(args.beta1, "--beta1")
-    alpha2 = _scalar_field(args.alpha2, "--alpha2")
-    beta2 = _scalar_field(args.beta2, "--beta2")
+    names = ("alpha1", "beta1", "alpha2", "beta2")
+    params = {name: _scalar_field(getattr(args, name), f"--{name}") for name in names}
+    alpha1, beta1, alpha2, beta2 = params.values()
     s1 = iso_signature(algebra, hw1, alpha1, beta1, psi1)
     s2 = iso_signature(algebra, hw2, alpha2, beta2, psi2)
     equal = iso_check(s1, s2)
@@ -313,7 +313,6 @@ def _cmd_iso_check(args) -> int:
         "signature2": s2.to_dict(),
         "differences": diffs,
     }
-    reasons = [] if equal else [f"signatures differ in: {', '.join(diffs)}"]
     if not equal and args.refute:
         cfg = RunConfig(algebra, hw1, psi1, alpha1, beta1, args.depth, tuple(args.window))
         _, t1 = build_modules(cfg)
@@ -324,19 +323,9 @@ def _cmd_iso_check(args) -> int:
         }
         if psi1.values != psi2.values:
             facts["separation"] = psi_separation(t1, t2, cfg.window).to_dict()
-    cert = ProbeCertificate(
-        kind="iso-signature",
-        status=STATUS_PASS if equal else STATUS_FAIL,
-        params={
-            "alpha1": str(alpha1),
-            "beta1": str(beta1),
-            "alpha2": str(alpha2),
-            "beta2": str(beta2),
-        },
-        facts=facts,
-        reasons=reasons,
-    )
-    return _emit_cert(cert)
+    failed = {f"signatures differ in: {', '.join(diffs)}": not equal}
+    run = ProbeRun("iso-signature", {name: str(v) for name, v in params.items()})
+    return _emit_cert(run.verdict(facts, failed))
 
 
 def load_config_data(source: str) -> dict:

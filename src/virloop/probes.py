@@ -26,6 +26,14 @@ The probes:
   parameter tuple, `iso_identity_cert` for seeded random ones).
 * `iso_signature` / `iso_check`: the complete isomorphism invariant
   (character, highest weight, normalized alpha and beta).
+
+Every certificate is built by one kernel, `ProbeRun`.  A probe opens a run
+with its kind, its parameters and the modules it acts on, applies its
+operators through `ProbeRun.apply` (which records each application), and
+closes the run with `unsatisfiable` when its hypotheses exclude the
+parameters, or with `verdict` on its claims: the status is "fail" exactly
+when some claim failed, and the failed claims become the reasons.  A probe
+therefore holds only its operators and its claims.
 """
 
 from __future__ import annotations
@@ -73,15 +81,7 @@ class ProbeCertificate:
     reasons: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "status": self.status,
-            "params": self.params,
-            "operator": self.operator,
-            "facts": self.facts,
-            "applications": self.applications,
-            "reasons": self.reasons,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -133,17 +133,58 @@ def deserialize_tensor(data) -> TensorVector:
     return out
 
 
-def _application(
-    words: WordSum, invec: TensorVector, outvec: TensorVector, module: int = 1
-) -> dict:
-    app = {
-        "operator": serialize_words(words),
-        "input": serialize_tensor(invec),
-        "output": serialize_tensor(outvec),
-    }
-    if module != 1:
-        app["module"] = module
-    return app
+class ProbeRun:
+    """The one place a probe certificate is recorded, decided and explained.
+
+    `tensors` are the modules the probe acts on; an application on the
+    second one is tagged "module": 2 so `replay_certificate` can route it.
+    """
+
+    def __init__(self, kind: str, params: dict, *tensors: TensorModule):
+        self.kind = kind
+        self.params = params
+        self.tensors = tensors
+        self.applications = []
+
+    def apply(self, op: WordSum, x: TensorVector, module: int = 1) -> TensorVector:
+        """Act with op on x in the named module, record the application, return the output."""
+        out = self.tensors[module - 1].act_words(op, x)
+        self.record(op, x, out, module)
+        return out
+
+    def record(self, op: WordSum, x: TensorVector, out: TensorVector, module: int = 1) -> None:
+        """Record an application computed outside `apply`, for a probe that keeps only some."""
+        app = {
+            "operator": serialize_words(op),
+            "input": serialize_tensor(x),
+            "output": serialize_tensor(out),
+        }
+        if module != 1:
+            app["module"] = module
+        self.applications.append(app)
+
+    def unsatisfiable(self, reasons: list[str]) -> ProbeCertificate:
+        """The stated hypotheses exclude the parameters: nothing was applied."""
+        return ProbeCertificate(self.kind, STATUS_UNSATISFIABLE, self.params, reasons=reasons)
+
+    def verdict(
+        self, facts: dict, failed: dict[str, bool], operator: WordSum | None = None
+    ) -> ProbeCertificate:
+        """The final certificate, failing exactly when some claim failed.
+
+        `failed` maps each claim, worded as its failure, to whether it
+        failed; the failed ones become the reasons, in order.
+        """
+        reasons = [claim for claim, bad in failed.items() if bad]
+        return ProbeCertificate(
+            self.kind,
+            STATUS_FAIL if reasons else STATUS_PASS,
+            self.params,
+            operator=None if operator is None else serialize_words(operator),
+            facts=facts,
+            applications=self.applications,
+            reasons=reasons,
+        )
 
 
 def replay_certificate(cert, tensor: TensorModule, tensor2: TensorModule | None = None) -> bool:
@@ -260,33 +301,19 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
         raise ValueError("depth bound k must be nonnegative")
     if tensor.verma.depth < k:
         raise ValueError(f"quotient computed to depth {tensor.verma.depth} < k = {k}")
+    run = ProbeRun("endo", params, tensor)
     if not tensor.intermediate.irreducible:
-        return ProbeCertificate("endo", STATUS_UNSATISFIABLE, params, reasons=[_REDUCIBLE_FACTOR])
+        return run.unsatisfiable([_REDUCIBLE_FACTOR])
     if not tensor.intermediate.allowed_index(m):
-        return ProbeCertificate(
-            "endo",
-            STATUS_UNSATISFIABLE,
-            params,
-            reasons=[f"index {m} lies outside the intermediate module's basis"],
-        )
+        return run.unsatisfiable([f"index {m} lies outside the intermediate module's basis"])
     exclude_zero = not tensor.intermediate.allowed_index(0)
     n = find_probe_n(alpha, beta, m, k, require_nonzero_targets=exclude_zero)
     if n is None:
-        return ProbeCertificate(
-            "endo",
-            STATUS_UNSATISFIABLE,
-            params,
-            reasons=[
-                "degenerate parameters: a separating-operator condition vanishes"
-                " identically in n"
-            ],
+        return run.unsatisfiable(
+            ["degenerate parameters: a separating-operator condition vanishes identically in n"]
         )
     w = endo_operator(tensor.algebra, alpha, beta, m, n)
-    apps = []
-    seed = tensor.seed(m)
-    out0 = tensor.act_words(w, seed)
-    apps.append(_application(w, seed, out0))
-    annihilated = tensor.is_zero(out0)
+    annihilated = tensor.is_zero(run.apply(w, tensor.seed(m)))
 
     span = SpanBasis()
     expected = 0
@@ -298,15 +325,12 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
             continue
         expected += tensor.verma.vphi_dim(i)
         for mono in tensor.verma.quotient_monomials(i):
-            x = {(i, mono, m + i): ONE}
-            out = tensor.act_words(w, x)
-            apps.append(_application(w, x, out))
+            out = run.apply(w, {(i, mono, m + i): ONE})
             if tensor.is_zero(out):
                 nonzero = False
             else:
                 span.add(dict(out))
     rank = len(span)
-    ok = annihilated and nonzero and rank == expected
     facts = {
         "n": n,
         "seed_annihilated": annihilated,
@@ -315,14 +339,12 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
         "expected_rank": expected,
         "skipped_levels": skipped,
     }
-    return ProbeCertificate(
-        "endo",
-        STATUS_PASS if ok else STATUS_FAIL,
-        params,
-        operator=serialize_words(w),
-        facts=facts,
-        applications=apps,
-    )
+    failed = {
+        f"w does not annihilate the seed v_phi (x) v_{m}": not annihilated,
+        "w sends a quotient-basis vector of a deeper summand to zero": not nonzero,
+        f"the images have rank {rank}, short of the expected rank {expected}": rank != expected,
+    }
+    return run.verdict(facts, failed, operator=w)
 
 
 # -- depth reduction X ----------------------------------------------------------
@@ -330,10 +352,6 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
 
 def _top_level(vec: TensorVector) -> int:
     return max(i for (i, _mono, _k) in vec)
-
-
-def _level_component(vec: TensorVector, level: int) -> dict:
-    return {mono: c for (i, mono, _k), c in vec.items() if i == level}
 
 
 def depth_reduction_probe(
@@ -360,7 +378,8 @@ def depth_reduction_probe(
     verifies X.(v_phi (x) v_{m+n}) = 0 exactly, and checks that X.w is
     nonzero with top depth strictly below n.  Degrees failing either check
     are recorded and the scan continues up to l_max (finitely many degrees
-    can fail); the first success is certified.
+    can fail); the first success is certified.  An l_max below n + 2 leaves
+    no degree to scan and is reported as hypothesis-unsatisfiable.
     """
     algebra = tensor.algebra
     alpha = tensor.intermediate.params.alpha
@@ -393,19 +412,22 @@ def depth_reduction_probe(
             reasons.append("case II requires alpha not an integer")
     if n <= 0:
         reasons.append("top depth n must be positive")
+    if l_max < n + 2:
+        reasons.append(f"l_max = {l_max} is below n + 2 = {n + 2}, so no degree l is scanned")
     if not tensor.intermediate.allowed_index(m + n):
         reasons.append(f"index {m + n} lies outside the intermediate module's basis")
     if not tensor.intermediate.irreducible:
         reasons.append(_REDUCIBLE_FACTOR)
+    run = ProbeRun("depth-reduction", params, tensor)
     if reasons:
-        return ProbeCertificate("depth-reduction", STATUS_UNSATISFIABLE, params, reasons=reasons)
+        return run.unsatisfiable(reasons)
 
     # the input must be a nonzero weight vector of offset m and top depth n;
     # then the dichotomy on its deepest component: a depth-n vector killed by
     # both d_1 (x) b and d_2 (x) b would be a singular vector of the
     # irreducible quotient below the top line, and none exist
     offsets = {k - i for (i, _mono, k) in w_vec}
-    x_top = _level_component(w_vec, n)
+    x_top = {mono: c for (i, mono, _k), c in w_vec.items() if i == n}
     if tensor.is_zero(w_vec):
         reasons.append("input vector is zero")
     elif offsets != {m}:
@@ -420,7 +442,7 @@ def depth_reduction_probe(
             reason += " and so does d_2 (x) b"
         reasons.append(reason)
     if reasons:
-        return ProbeCertificate("depth-reduction", STATUS_UNSATISFIABLE, params, reasons=reasons)
+        return run.unsatisfiable(reasons)
 
     seed = tensor.seed(m + n)
     attempts = []
@@ -463,21 +485,13 @@ def depth_reduction_probe(
             "top_depth_out": top_out,
             "attempts": attempts,
         }
-        apps = [_application(x_op, seed, kill), _application(x_op, w_vec, image)]
-        return ProbeCertificate(
-            "depth-reduction",
-            STATUS_PASS,
-            params,
-            operator=serialize_words(x_op),
-            facts=facts,
-            applications=apps,
-        )
-    return ProbeCertificate(
-        "depth-reduction",
-        STATUS_FAIL,
-        params,
-        facts={"attempts": attempts},
-        reasons=[f"no degree l <= {l_max} produced a nonzero depth-reduced image"],
+        # only the degree that succeeds is recorded
+        run.record(x_op, seed, kill)
+        run.record(x_op, w_vec, image)
+        return run.verdict(facts, {}, operator=x_op)
+    return run.verdict(
+        {"attempts": attempts},
+        {f"no degree l <= {l_max} produced a nonzero depth-reduced image": True},
     )
 
 
@@ -535,8 +549,9 @@ def pure_tensor_ladder_check(
             "highest weight does not kill d_0 (x) a for a = "
             + ", ".join(algebra.format_elem(a) for a in bad)
         )
+    run = ProbeRun("ladder", params, tensor)
     if reasons:
-        return ProbeCertificate("ladder", STATUS_UNSATISFIABLE, params, reasons=reasons)
+        return run.unsatisfiable(reasons)
 
     if vm.depth < 1:
         vm.extend_depth(1)
@@ -544,12 +559,11 @@ def pure_tensor_ladder_check(
     # stage a: radical membership at level 1
     lvl1 = {((1, j),): c for j, c in enumerate(b) if c}
     in_radical = vm.is_radical(1, lvl1)
-    killers_zero = True
-    for j in range(algebra.dim):
-        for deg in (1, 2):
-            _t, res = vm.act_on_vphi(d_gen(deg, algebra.basis_elem(j)), 1, lvl1)
-            if res:
-                killers_zero = False
+    killers_zero = not any(
+        vm.act_on_vphi(d_gen(deg, algebra.basis_elem(j)), 1, lvl1)[1]
+        for j in range(algebra.dim)
+        for deg in (1, 2)
+    )
     stage_a = {
         "vector": [[list(mono), str(c)] for mono, c in sorted(lvl1.items())],
         "in_radical": in_radical,
@@ -558,7 +572,6 @@ def pure_tensor_ladder_check(
     }
 
     # stage b: both ladder identities on every adjacent pair in the window
-    apps = []
     ladder_ok = True
     coeffs_down = {}
     coeffs_up = {}
@@ -575,12 +588,10 @@ def pure_tensor_ladder_check(
         c_up = psi.of(b) * _lin(alpha, beta, nn, 1)
         coeffs_down[nn + 1] = str(c_down)
         coeffs_up[nn] = str(c_up)
-        got_down = tensor.act_words(down_op, tensor.seed(nn + 1))
-        apps.append(_application(down_op, tensor.seed(nn + 1), got_down))
+        got_down = run.apply(down_op, tensor.seed(nn + 1))
         if got_down != {(0, (), nn): c_down} or not c_down:
             ladder_ok = False
-        got_up = tensor.act_words(up_op, tensor.seed(nn))
-        apps.append(_application(up_op, tensor.seed(nn), got_up))
+        got_up = run.apply(up_op, tensor.seed(nn))
         if got_up != {(0, (), nn + 1): c_up} or not c_up:
             ladder_ok = False
     stage_b = {
@@ -591,38 +602,27 @@ def pure_tensor_ladder_check(
 
     # stage c: composite climbs reproduce scaled seeds across the whole window
     chain_ok = ladder_ok
+    stage_c = {}
     if ladder_ok:
-        vec = tensor.seed(kmin)
-        expect = ONE
-        for nn in range(kmin, kmax):
-            vec = tensor.act_words(up_op, vec)
-            expect = expect * psi.of(b) * _lin(alpha, beta, nn, 1)
-        if vec != {(0, (), kmax): expect} or not expect:
-            chain_ok = False
-        vec = tensor.seed(kmax)
-        expect_down = ONE
-        for nn in range(kmax, kmin, -1):
-            vec = tensor.act_words(down_op, vec)
-            expect_down = expect_down * psi.of(b) * _lin(alpha, beta, nn, -1)
-        if vec != {(0, (), kmin): expect_down} or not expect_down:
-            chain_ok = False
-        stage_c = {
-            "spans_coincide": chain_ok,
-            "up_chain_product": str(expect),
-            "down_chain_product": str(expect_down),
-        }
-    else:
-        stage_c = {"spans_coincide": False}
+        chains = (("up", up_op, kmin, kmax, 1), ("down", down_op, kmax, kmin, -1))
+        for name, op, start, end, step in chains:
+            vec, expect = tensor.seed(start), ONE
+            for nn in range(start, end, step):
+                vec = tensor.act_words(op, vec)
+                expect = expect * psi.of(b) * _lin(alpha, beta, nn, step)
+            if vec != {(0, (), end): expect} or not expect:
+                chain_ok = False
+            stage_c[f"{name}_chain_product"] = str(expect)
+    stage_c["spans_coincide"] = chain_ok
 
-    ok = in_radical and killers_zero and ladder_ok and chain_ok
     facts = {"stage_a": stage_a, "stage_b": stage_b, "stage_c": stage_c}
-    return ProbeCertificate(
-        "ladder",
-        STATUS_PASS if ok else STATUS_FAIL,
-        params,
-        facts=facts,
-        applications=apps,
-    )
+    failed = {
+        "stage a: d_{-1} (x) b . v~_phi is not in the form radical": not in_radical,
+        "stage a: d_1 or d_2 (x) e_j does not kill d_{-1} (x) b . v~_phi": not killers_zero,
+        "stage b: a ladder identity fails on the window": not ladder_ok,
+        "stage c: the ladder chains do not connect the window": not chain_ok,
+    }
+    return run.verdict(facts, failed)
 
 
 # -- character separation --------------------------------------------------------
@@ -672,13 +672,14 @@ def psi_separation(
         "kmin": kmin,
         "kmax": kmax,
     }
+    run = ProbeRun("psi-separation", params, tensor1, tensor2)
     found = separating_vector(algebra, psi1, psi2)
     if found is None:
-        return ProbeCertificate(
-            "psi-separation", STATUS_PASS, params, facts={"equal": True}
-        )
+        return run.verdict({"equal": True}, {})
     b, direction = found
-    killed, live = (tensor1, tensor2) if direction == 1 else (tensor2, tensor1)
+    # b's character vanishes on module `direction` only
+    killed_tag, live_tag = direction, 3 - direction
+    killed, live = run.tensors[killed_tag - 1], run.tensors[live_tag - 1]
     alpha = live.intermediate.params.alpha
     beta = live.intermediate.params.beta
     psi_live = live.intermediate.params.psi
@@ -696,30 +697,23 @@ def psi_separation(
             ls.append(l)
         l += 1
 
-    killed_tag = 1 if direction == 1 else 2
-    live_tag = 2 if direction == 1 else 1
-    op_of = {l: WordSum.single(algebra, d_gen(l, b)) for l in ls}
-    apps = []
     kill_ok = True
     live_ok = True
     checked = 0
     for l in ls:
+        op = WordSum.single(algebra, d_gen(l, b))
         for i in range(depth + 1):
             for mono in killed.verma.quotient_monomials(i):
                 for kk in killed.intermediate.window_indices(kmin, kmax):
-                    x = {(i, mono, kk): ONE}
-                    out = killed.act_words(op_of[l], x)
-                    apps.append(_application(op_of[l], x, out, module=killed_tag))
+                    out = run.apply(op, {(i, mono, kk): ONE}, module=killed_tag)
                     checked += 1
                     if not killed.is_zero(out):
                         kill_ok = False
         expected = {(0, (), k + l): psi_live.of(b) * _lin(alpha, beta, k, l)}
-        got = live.act_words(op_of[l], live.seed(k))
-        apps.append(_application(op_of[l], live.seed(k), got, module=live_tag))
+        got = run.apply(op, live.seed(k), module=live_tag)
         if got != expected or not got:
             live_ok = False
 
-    ok = kill_ok and live_ok
     facts = {
         "equal": False,
         "witness": _ser_belem(b),
@@ -731,13 +725,12 @@ def psi_separation(
         "annihilation": kill_ok,
         "nonannihilation": live_ok,
     }
-    return ProbeCertificate(
-        "psi-separation",
-        STATUS_PASS if ok else STATUS_FAIL,
-        params,
-        facts=facts,
-        applications=apps,
-    )
+    failed = {
+        f"annihilation: d_l (x) b does not kill module {killed_tag}'s truncation": not kill_ok,
+        f"nonannihilation: d_l (x) b does not send module {live_tag}'s v_phi (x) v_{k}"
+        " to the expected nonzero multiple": not live_ok,
+    }
+    return run.verdict(facts, failed)
 
 
 # -- isomorphism classification ---------------------------------------------------
@@ -759,10 +752,7 @@ def iso_poly_coeffs(A, b1, Q, b2) -> tuple[GaussianRational, ...]:
     the intertwining constraint holding for all m, n, and drives the
     classification down to (A, b1) = (Q, b2).
     """
-    A = scalar(A)
-    b1 = scalar(b1)
-    Q = scalar(Q)
-    b2 = scalar(b2)
+    A, b1, Q, b2 = map(scalar, (A, b1, Q, b2))
     two = scalar(2)
     c_mnsum = b1 * b2 * (b1 - b2)
     c_lin = A * Q * (b2 - b1) + b1 * Q * Q - b2 * A * A
@@ -770,10 +760,6 @@ def iso_poly_coeffs(A, b1, Q, b2) -> tuple[GaussianRational, ...]:
     c_sq = b1 * b2 * (Q - A)
     c_const = A * (Q - A) * Q
     return c_mnsum, c_lin, c_mn, c_sq, c_const
-
-
-def default_iso_grid() -> list[tuple[int, int]]:
-    return [(m, n) for m in range(1, 5) for n in range(1, 5)]
 
 
 def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) -> bool:
@@ -796,12 +782,9 @@ def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) ->
     integer grid certifies the polynomial identity; `perturbed` shifts
     c_const by 1 as an identity-breaking control.
     """
-    A = scalar(A)
-    b1 = scalar(b1)
-    Q = scalar(Q)
-    b2 = scalar(b2)
+    A, b1, Q, b2 = map(scalar, (A, b1, Q, b2))
     if grid is None:
-        grid = default_iso_grid()
+        grid = [(m, n) for m in range(1, 5) for n in range(1, 5)]
     pts = {(int(m), int(n)) for m, n in grid}
     if len(pts) < 16:
         raise ValueError("grid must contain at least 16 distinct integer pairs")
@@ -826,23 +809,21 @@ def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) ->
 _ISO_PARAMS = ("A", "beta1", "Q", "beta2")
 
 
-def _identity_verdict(tuples, where: str) -> tuple[list[tuple[bool, bool]], str, list[str]]:
+def _identity_checks(tuples, where: str) -> tuple[list[tuple[bool, bool]], dict[str, bool]]:
     """The grouped identity and its perturbed control on each (A, b1, Q, b2) tuple.
 
-    Returns (identity holds, perturbation caught) for every tuple, then a
-    status that passes only when every identity holds and every
-    perturbation is caught, and the reasons for a fail.
+    Returns (identity holds, perturbation caught) for every tuple, and the
+    two claims over all tuples, worded as their failures.
     """
     checks = [
         (iso_poly_identity_check(*t), not iso_poly_identity_check(*t, perturbed=True))
         for t in tuples
     ]
-    reasons = []
-    if not all(holds for holds, _ in checks):
-        reasons.append(f"grouped identity failed {where}")
-    if not all(caught for _, caught in checks):
-        reasons.append("perturbed constant term went undetected")
-    return checks, STATUS_FAIL if reasons else STATUS_PASS, reasons
+    failed = {
+        f"grouped identity failed {where}": not all(holds for holds, _ in checks),
+        "perturbed constant term went undetected": not all(caught for _, caught in checks),
+    }
+    return checks, failed
 
 
 def iso_identity_cert(seed: int, index: int, samples: int) -> ProbeCertificate:
@@ -856,22 +837,17 @@ def iso_identity_cert(seed: int, index: int, samples: int) -> ProbeCertificate:
         tuple(scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(4))
         for _ in range(samples)
     ]
-    checks, status, reasons = _identity_verdict(tuples, "on a sampled parameter tuple")
+    checks, failed = _identity_checks(tuples, "on a sampled parameter tuple")
     rows = [
         {**dict(zip(_ISO_PARAMS, map(str, t))), "identity": holds, "perturbation_caught": caught}
         for t, (holds, caught) in zip(tuples, checks)
     ]
-    return ProbeCertificate(
-        kind="iso-identity",
-        status=status,
-        params={"samples": samples, "seed": seed},
-        facts={
-            "all_identities_hold": all(holds for holds, _ in checks),
-            "perturbation_always_detected": all(caught for _, caught in checks),
-            "samples": rows,
-        },
-        reasons=reasons,
-    )
+    facts = {
+        "all_identities_hold": all(holds for holds, _ in checks),
+        "perturbation_always_detected": all(caught for _, caught in checks),
+        "samples": rows,
+    }
+    return ProbeRun("iso-identity", {"samples": samples, "seed": seed}).verdict(facts, failed)
 
 
 def iso_coeffs_cert(a, b1, q, b2) -> ProbeCertificate:
@@ -879,18 +855,13 @@ def iso_coeffs_cert(a, b1, q, b2) -> ProbeCertificate:
     t = (scalar(a), scalar(b1), scalar(q), scalar(b2))
     names = ("mn_times_sum", "linear", "mn", "squares", "constant")
     coefficients = {name: str(c) for name, c in zip(names, iso_poly_coeffs(*t))}
-    [(holds, caught)], status, reasons = _identity_verdict([t], "on the default grid")
-    return ProbeCertificate(
-        kind="iso-coeffs",
-        status=status,
-        params=dict(zip(_ISO_PARAMS, map(str, t))),
-        facts={
-            "coefficients": coefficients,
-            "identity_on_grid": holds,
-            "perturbation_detected": caught,
-        },
-        reasons=reasons,
-    )
+    [(holds, caught)], failed = _identity_checks([t], "on the default grid")
+    facts = {
+        "coefficients": coefficients,
+        "identity_on_grid": holds,
+        "perturbation_detected": caught,
+    }
+    return ProbeRun("iso-coeffs", dict(zip(_ISO_PARAMS, map(str, t)))).verdict(facts, failed)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from virloop.cli import (
 from virloop.config import (
     ConfigError,
     belem_field,
+    build_modules,
     fixture_dump,
     load_config,
     report_json,
@@ -621,10 +622,11 @@ def test_cli_k_beyond_depth_is_config_error(tmp_path, capsys):
 
 # -- golden outputs -------------------------------------------------------------------
 
-# SHA-256 of stdout and the exit code of each README command-line example and
-# of the bundled demo run (about 150 KB of output in all, so digests rather
-# than files).  A change that only makes the engine faster must leave every
-# byte alone; a deliberate change of output updates the digest here.
+# SHA-256 of stdout and the exit code of each README command-line example, of
+# the bundled demo run, and of three hypothesis-unsatisfiable certificates
+# (about 150 KB of output in all, so digests rather than files).  A change
+# that only makes the engine faster must leave every byte alone; a
+# deliberate change of output updates the digest here.
 GOLDEN_CLI = [
     (
         ["int-module", "--alpha", "0", "--beta", "1", "--window", "-8", "8", "--degree", "4"],
@@ -686,6 +688,26 @@ GOLDEN_CLI = [
         EXIT_PASS,
         "ec73fcc7600ae212c3d8132656018bcacd83413c9d2e6b08aa942642cd07999e",
     ),
+    # at (0, 0) the intermediate module is built on Z - {0}, so m = 0 is excluded
+    (
+        ["endo-probe", "--phi-d0", "1", "--psi", "1", "--alpha", "0", "--beta", "0",
+         "--depth", "1", "--m", "0", "--k", "1"],
+        EXIT_UNSATISFIABLE,
+        "c7e0acefff1b5612226a6544e780dc54383d3121aa2e85ab9cea162398ef7485",
+    ),
+    (
+        ["x-probe", "--case", "II", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2",
+         "--beta", "2", "--depth", "1", "--b", "e0", "--m", "1", "--n", "1"],
+        EXIT_UNSATISFIABLE,
+        "1517c30c996d6a709e186922d2682643f1e376ca027ea1df4f4d9b732a8e635b",
+    ),
+    # psi(e1) = 0 while the highest weight kills d_0 (x) e1: the only excluded hypothesis
+    (
+        ["cor31", "--algebra", "split 2", "--phi-d0", "1", "0", "--psi", "1", "0",
+         "--alpha", "1/2", "--beta", "1/3", "--depth", "1", "--window", "-4", "4", "--b", "e1"],
+        EXIT_UNSATISFIABLE,
+        "6d895df2367c4690d6f66a67f5f78c56ede9f4b8c87a9de2fd21216467ddaef2",
+    ),
 ]
 
 # SHA-256 of each file `virloop fixtures cor31-split --out DIR` writes.
@@ -703,7 +725,12 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN_CLI, ids=[argv[0] for argv, _, _ in GOLDEN_CLI]
+    "argv, code, digest",
+    GOLDEN_CLI,
+    ids=[
+        argv[0] + ("-unsatisfiable" if code == EXIT_UNSATISFIABLE else "")
+        for argv, code, _ in GOLDEN_CLI
+    ],
 )
 def test_cli_golden_stdout(argv, code, digest, capsys):
     assert main(argv) == code
@@ -780,6 +807,14 @@ CLI_CONFIG_PAIRS = [
         {"algebra": "trivial", "phi": {"d0": ["0"]},
          "probes": [{"kind": "iso-coeffs", "A": "1", "b1": "2", "Q": "1/2", "b2": "3"}]},
     ),
+    # l_max below n + 2 leaves no degree to scan: hypothesis-unsatisfiable from both paths
+    (
+        ["x-probe", "--case", "I", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "2",
+         "--depth", "1", "--b", "e0", "--m", "1", "--n", "1", "--l-max", "2"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1/2", "beta": "2",
+         "depth": 1, "probes": [{"kind": "depth-reduction", "case": "I", "b": "e0", "m": 1,
+                                 "n": 1, "l_max": 2}]},
+    ),
 ]
 
 
@@ -835,3 +870,81 @@ def test_cli_endo_probe_at_the_origin_runs_on_the_quotient(capsys):
             "--m", "1", "--k", "1", "--depth", "1"]
     assert main(argv) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+# -- gap 6: an empty degree scan ---------------------------------------------------------
+
+_GAP6_FLAGS = ["--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "2", "--depth", "1",
+               "--b", "e0", "--m", "1", "--n", "1"]
+
+
+def test_cli_x_probe_l_max_below_n_plus_2_is_unsatisfiable(capsys):
+    # degrees are scanned from n + 2, so l_max = 2 with n = 1 leaves nothing to try
+    assert main(["x-probe", "--case", "I", *_GAP6_FLAGS, "--l-max", "2"]) == EXIT_UNSATISFIABLE
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "hypothesis-unsatisfiable"
+    assert any("l_max = 2" in r for r in cert["reasons"])
+    assert cert["facts"] == {} and cert["applications"] == []
+    assert main(["x-probe", "--case", "I", *_GAP6_FLAGS, "--l-max", "3"]) == EXIT_PASS
+
+
+# -- a wrong action must fail, and say why ------------------------------------------------
+
+
+def _doubled(act_words):
+    return lambda self, words, vec: {key: c + c for key, c in act_words(self, words, vec).items()}
+
+
+def _stray_when_zero(act_words):
+    return lambda self, words, vec: act_words(self, words, vec) or {(0, (), 999): scalar(1)}
+
+
+_SPLIT_PAIR = ["--algebra", "split 2", "--alpha", "1/2", "--beta", "1/3"]
+
+
+_PSI_SEP_ARGV = ["psi-sep", *_SPLIT_PAIR, "--phi-d0", "1", "2", "--psi1", "1", "0",
+                 "--psi2", "0", "1", "--depth", "1", "--window", "-2", "2"]
+
+# (argv, a broken TensorModule.act_words, the start of the reason it must give)
+BROKEN_ACTION_CASES = [
+    (["endo-probe", *_SPLIT_PAIR, "--phi-d0", "0", "1", "--psi", "1", "0", "--depth", "2",
+      "--m", "0", "--k", "2"], _stray_when_zero, "w does not annihilate the seed"),
+    (["x-probe", "--case", "I", *_GAP6_FLAGS, "--l-max", "8"], _stray_when_zero, "no degree l <= 8"),
+    (["cor31", *_SPLIT_PAIR, "--phi-d0", "0", "1", "--psi", "1", "0", "--depth", "1",
+      "--window", "-4", "4", "--b", "e0"], _doubled, "stage b:"),
+    (_PSI_SEP_ARGV, _doubled, "nonannihilation:"),
+    (_PSI_SEP_ARGV, _stray_when_zero, "annihilation:"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, broken, reason",
+    BROKEN_ACTION_CASES,
+    ids=[f"{argv[0]}-{broken.__name__.strip('_')}" for argv, broken, _ in BROKEN_ACTION_CASES],
+)
+def test_cli_probe_fails_with_reasons_on_a_broken_action(argv, broken, reason, monkeypatch, capsys):
+    from virloop.tensor_product import TensorModule
+
+    monkeypatch.setattr(TensorModule, "act_words", broken(TensorModule.act_words))
+    assert main(argv) == EXIT_FAIL
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "fail"
+    assert any(r.startswith(reason) for r in cert["reasons"])
+
+
+def test_generation_check_fails_without_the_degree_minus_one_images(monkeypatch, capsys):
+    # no valid input makes generation_check false, so drop the images of d_{-1} (x) e_j:
+    # level-1 vectors can then only come from d_{-2} words, which cannot isolate them
+    from virloop.tensor_product import TensorModule
+
+    act = TensorModule.act
+    monkeypatch.setattr(
+        TensorModule, "act", lambda self, gen, x: {} if gen.degree == -1 else act(self, gen, x)
+    )
+    argv = ["tensor", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "1/3",
+            "--depth", "2", "--window", "-3", "3"]
+    _, tensor = build_modules(load_config({"algebra": "trivial", "phi": {"d0": ["1"]},
+                                           "psi": ["1"], "alpha": "1/2", "beta": "1/3", "depth": 2}))
+    assert tensor.generation_check(2, -3, 3) is False
+    assert main(argv) == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["generated_by_pure_tensors"] is False
