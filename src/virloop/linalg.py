@@ -6,8 +6,8 @@ Two flavours are used throughout the package:
 * sparse vectors as dicts keyed by arbitrary orderable coordinates, for
   span closures (ideal generation, submodule search, generation checks).
 
-Dense elimination (`rref` and `nullspace`) runs on one
-fraction-free engine over the Gaussian integers Z[i]:
+Dense elimination (`nullspace`) runs on one fraction-free engine over
+the Gaussian integers Z[i]:
 
 * Each row is multiplied by the lcm of its denominators.  Scaling a row
   by a nonzero number changes neither the kernel nor the reduced row
@@ -27,25 +27,34 @@ fraction-free engine over the Gaussian integers Z[i]:
   blocks' column spaces: column c is a leftmost pivot, that is, outside
   the span of the columns before it, exactly when it is one inside its
   own block.  The pivot set is the union of the blocks' pivot sets, and
-  each RREF row and each kernel vector lives in one block; sorted by
-  pivot and by free column they are the whole-matrix results.  Gram
-  matrices over orthogonal idempotents (`split k`) are block-diagonal by
-  multi-level, so this turns one dense elimination into several small
-  ones; a matrix that is one block is eliminated as a whole, in place.
+  each kernel vector lives in one block; sorted by free column they are
+  the whole-matrix kernel.  Gram matrices over orthogonal idempotents
+  (`split k`) are block-diagonal by multi-level, so this turns one dense
+  elimination into several small ones; a matrix that is one block is
+  eliminated as a whole, in place.
 * Each square or tall block first tries a modular certificate: the
   scaled block is reduced modulo the prime `CERT_PRIME`
   (p ≡ 1 mod 4), with i sent to the square root `CERT_SQRT_MINUS_ONE`
   of −1 mod p.  That is a ring map Z[i] → F_p, so it maps the determinant
   of any maximal minor to the same minor mod p; full column rank mod p
-  therefore proves full column rank over Q(i): the block's kernel is {0}
-  and its RREF is the identity, with no exact elimination.  A lower rank
+  therefore proves full column rank over Q(i): the block's kernel is {0},
+  with no exact elimination.  A lower rank
   mod p proves nothing (p may divide a nonzero minor), so the exact path
   decides every nonzero nullity.
+* The certificate packs a row's residues into one int, a 96-bit slot
+  per column (Dumas, Fousse and Salvy, J. Symb. Comput. 46, 2011), so a
+  column is eliminated by one big-int multiply-add per row, row +
+  g·pivot_row, and a shift.  A row's slots are reduced mod p only when
+  it becomes the pivot (delayed reduction, as in FFLAS-FFPACK): each
+  update adds less than p² < 2^62 to a slot, so below 2^34 columns no
+  slot reaches 2^96 and no carry crosses slots.  Python runs O(n²) steps.
 
 Pivots are always chosen leftmost in the declared coordinate order, which
 makes every echelon basis deterministic and regression-friendly; the
 reduced echelon form, and with it the canonical kernel basis (1 at each
 free column), is unique, so it does not depend on how it was computed.
+There is no `rref`: the one the package needs, of a kernel, is `nullspace`
+with the columns reversed (`VermaModule._compute_level`).
 """
 
 from __future__ import annotations
@@ -61,6 +70,8 @@ SparseVec = dict
 CERT_PRIME = 2147483629  # the largest prime below 2^31 that is 1 mod 4
 # p = 5 (mod 8) makes 2 a non-residue, so 2^((p-1)/4) squares to 2^((p-1)/2) = -1
 CERT_SQRT_MINUS_ONE = pow(2, (CERT_PRIME - 1) // 4, CERT_PRIME)
+_SLOT_BYTES = 12  # one packed residue: 96 bits, see the module docstring for the bound
+_SLOT_BITS, _SLOT_MASK = 8 * _SLOT_BYTES, (1 << 8 * _SLOT_BYTES) - 1
 
 
 def _scaled(matrix: Matrix) -> tuple[list[list[int]], list[list[int]] | None]:
@@ -74,24 +85,29 @@ def _scaled(matrix: Matrix) -> tuple[list[list[int]], list[list[int]] | None]:
     return re_rows, (im_rows if any(any(r) for r in im_rows) else None)
 
 
+def _pack(residues) -> int:
+    """One int holding the c-th residue in bits [_SLOT_BITS·c, _SLOT_BITS·(c + 1))."""
+    return int.from_bytes(b"".join(x.to_bytes(_SLOT_BYTES, "little") for x in residues), "little")
+
+
 def _full_rank_mod_p(re_rows, im_rows, ncols: int) -> bool:
-    """True when the scaled matrix has rank ncols modulo CERT_PRIME."""
+    """True when the scaled matrix has rank ncols modulo CERT_PRIME; slot 0 is the leading column."""
     p, root = CERT_PRIME, CERT_SQRT_MINUS_ONE
     if im_rows is None:
-        rows = [[a % p for a in r] for r in re_rows]
+        rows = [_pack(a % p for a in r) for r in re_rows]
     else:
-        rows = [[(a + root * b) % p for a, b in zip(r, s)] for r, s in zip(re_rows, im_rows)]
-    for _ in range(ncols):  # eliminate the leading column, then drop it
-        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        rows = [_pack((a + root * b) % p for a, b in zip(r, s)) for r, s in zip(re_rows, im_rows)]
+    for width in range(ncols, 0, -1):
+        lead = [(row & _SLOT_MASK) % p for row in rows]
+        piv = next((i for i, f in enumerate(lead) if f), None)
         if piv is None:
             return False
-        prow = rows.pop(piv)
-        inv = pow(prow[0], -1, p)
-        tail = prow[1:]
-        rows = [
-            [(a - f * b) % p for a, b in zip(row[1:], tail)] if (f := row[0] * inv % p) else row[1:]
-            for row in rows
-        ]
+        del lead[piv]
+        raw = rows.pop(piv).to_bytes(_SLOT_BYTES * width, "little")
+        slots = (raw[j : j + _SLOT_BYTES] for j in range(0, len(raw), _SLOT_BYTES))
+        prow = _pack(int.from_bytes(x, "little") % p for x in slots)
+        neg_inv = p - pow(prow & _SLOT_MASK, -1, p)
+        rows = [(row + f * neg_inv % p * prow if f else row) >> _SLOT_BITS for row, f in zip(rows, lead)]
     return True
 
 
@@ -201,10 +217,7 @@ def _block_echelon(re_rows, im_rows, ncols: int):
     if not re_rows:
         return re_rows, None, [], (1, 0)
     if len(re_rows) >= ncols and _full_rank_mod_p(re_rows, im_rows, ncols):
-        identity = [[0] * ncols for _ in range(ncols)]
-        for c in range(ncols):
-            identity[c][c] = 1
-        return identity, None, list(range(ncols)), (1, 0)
+        return [], None, list(range(ncols)), (1, 0)  # no free column, so no row is read
     return _echelon(re_rows, im_rows, ncols)
 
 
@@ -227,24 +240,6 @@ def _eliminate(matrix: Matrix) -> list:
             sub_im = None
         out.append((cols, *_block_echelon(sub_re, sub_im, len(cols))))
     return out
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    found = []
-    for cols, re_rows, im_rows, pivots, d in _eliminate(matrix):
-        for r, p in enumerate(pivots):
-            row = [ZERO] * ncols
-            for j, c in enumerate(cols):
-                row[c] = _entry(re_rows, im_rows, r, j, d)
-            found.append((cols[p], row))
-    found.sort(key=itemgetter(0))
-    rows = [row for _, row in found]
-    rows += [[ZERO] * ncols for _ in range(len(matrix) - len(found))]
-    return rows, [p for p, _ in found]
 
 
 def nullspace(matrix: Matrix) -> list[list[GaussianRational]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from .coeff_algebra import AlgebraB, BElem
-from .linalg import SpanBasis, nullspace, rref
+from .linalg import SpanBasis, nullspace
 from .scalars import GaussianRational, ONE, ZERO, scalar
 from .virasoro import Generator, KIND_C, KIND_D, WordSum, central_charge_term
 
@@ -256,10 +256,15 @@ class VermaModule:
                 for mono, c in self._action.gen(a, j, monos[s]).items():
                     acc = acc + c * row_below[below.index[mono]]
                 gram[r][s] = gram[s][r] = acc
-        # monos is sorted, so the RREF of the kernel is the canonical SpanBasis
-        kernel_rows, _ = rref(nullspace(gram))
+        # nullspace gives free column f a vector with 1 at f, 0 at the other free
+        # columns and its support on pivot columns left of f.  With columns
+        # reversed that support lies right of f, so read back reversed the
+        # vectors are the RREF of the kernel, the canonical radical.  Reversed
+        # rows keep G symmetric, and Bareiss then meets smaller minors (1452 vs
+        # 1777 bits at trivial Kac (2,2) level 13) and runs about twice as fast.
+        kernel = nullspace([row[::-1] for row in reversed(gram)])
         radical = SpanBasis.from_echelon(
-            [{monos[i]: c for i, c in enumerate(row) if c} for row in kernel_rows]
+            [{monos[i]: c for i, c in enumerate(reversed(vec)) if c} for vec in reversed(kernel)]
         )
         pivots = radical.pivots()
         quotient = [m for m in monos if m not in pivots]

@@ -5,8 +5,13 @@ kept unchanged so the fraction-free engine in `virloop.linalg` can be
 checked against it: every step divides in Q(i) through `GaussianRational`,
 pivots are chosen leftmost, and the nullspace basis has a 1 at each free
 column.  It is slow on large Gram matrices; use it at small sizes.
+
+`full_rank_mod_p` is the package's former list-based modular certificate,
+one residue per list entry, kept unchanged as the reference for the packed
+`virloop.linalg._full_rank_mod_p`.
 """
 
+from virloop.linalg import CERT_PRIME, CERT_SQRT_MINUS_ONE
 from virloop.scalars import GaussianRational, ONE, ZERO
 
 Matrix = list[list[GaussianRational]]
@@ -79,3 +84,24 @@ def solve(matrix: Matrix, target: list[GaussianRational]):
     for r, p in enumerate(pivots):
         x[p] = rows[r][ncols]
     return x
+
+
+def full_rank_mod_p(re_rows, im_rows, ncols: int) -> bool:
+    """True when the scaled matrix has rank ncols modulo CERT_PRIME."""
+    p, root = CERT_PRIME, CERT_SQRT_MINUS_ONE
+    if im_rows is None:
+        rows = [[a % p for a in r] for r in re_rows]
+    else:
+        rows = [[(a + root * b) % p for a, b in zip(r, s)] for r, s in zip(re_rows, im_rows)]
+    for _ in range(ncols):  # eliminate the leading column, then drop it
+        piv = next((i for i, row in enumerate(rows) if row[0]), None)
+        if piv is None:
+            return False
+        prow = rows.pop(piv)
+        inv = pow(prow[0], -1, p)
+        tail = prow[1:]
+        rows = [
+            [(a - f * b) % p for a, b in zip(row[1:], tail)] if (f := row[0] * inv % p) else row[1:]
+            for row in rows
+        ]
+    return True

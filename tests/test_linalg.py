@@ -1,4 +1,4 @@
-"""Exact elimination: rref, nullspace, and the incremental span basis."""
+"""Exact elimination: nullspace, the modular certificate, and the incremental span basis."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from virloop.linalg import (
     CERT_SQRT_MINUS_ONE,
     SpanBasis,
     nullspace,
-    rref,
 )
 from virloop.scalars import ONE, ZERO, GaussianRational, scalar
 
@@ -28,19 +27,28 @@ def parse_matrix(rows):
     return [[scalar(x) for x in row] for row in rows]
 
 
-def test_rref_identity():
+def kernel_rref(m):
+    """Reduced echelon form of the kernel, as VermaModule builds it: nullspace with rows and columns reversed."""
+    return [vec[::-1] for vec in reversed(nullspace([row[::-1] for row in reversed(m)]))]
+
+
+def oracle_kernel_rref(m):
+    kernel = oracle_rref.nullspace(m)
+    return oracle_rref.rref(kernel)[0] if kernel else []
+
+
+def test_nullspace_of_identity_is_empty():
     m = parse_matrix([[1, 0], [0, 1]])
-    rows, pivots = rref(m)
-    assert rows == m
-    assert pivots == [0, 1]
+    assert nullspace(m) == [] == kernel_rref(m)
 
 
-def test_rref_rank_deficient():
+def test_nullspace_rank_deficient():
     m = parse_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    rows, pivots = rref(m)
-    assert pivots == [0, 1]
-    assert len(pivots) == oracle_rref.rank(m) == 2
-    assert all(x == ZERO for x in rows[2])
+    basis = nullspace(m)
+    assert basis == oracle_rref.nullspace(m)
+    assert len(basis) == 3 - oracle_rref.rank(m) == 1
+    assert basis[0][2] == ONE  # column 2 is the free one
+    assert kernel_rref(m) == oracle_kernel_rref(m) == basis
 
 
 def test_nullspace_matches_kernel():
@@ -126,7 +134,7 @@ def test_nullspace_vectors_annihilate(nr, nc, data):
         for _ in range(nr)
     ]
     basis = nullspace(m)
-    assert len(basis) == nc - len(rref(m)[1])
+    assert len(basis) == nc - oracle_rref.rank(m)
     for v in basis:
         for row in m:
             assert sum((a * b for a, b in zip(row, v)), ZERO) == ZERO
@@ -159,9 +167,9 @@ def qi_matrices(draw):
 @settings(max_examples=300)
 @given(qi_matrices())
 def test_elimination_equals_fraction_oracle(m):
-    assert rref(m) == oracle_rref.rref(m)
-    assert len(rref(m)[1]) == oracle_rref.rank(m)
     assert nullspace(m) == oracle_rref.nullspace(m)
+    assert len(nullspace(m)) == len(m[0]) - oracle_rref.rank(m)
+    assert kernel_rref(m) == oracle_kernel_rref(m)
 
 
 @st.composite
@@ -199,9 +207,9 @@ def permuted_block_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(permuted_block_matrices())
 def test_block_split_elimination_equals_fraction_oracle(m):
-    assert rref(m) == oracle_rref.rref(m)
-    assert len(rref(m)[1]) == oracle_rref.rank(m)
     assert nullspace(m) == oracle_rref.nullspace(m)
+    assert len(nullspace(m)) == len(m[0]) - oracle_rref.rank(m)
+    assert kernel_rref(m) == oracle_kernel_rref(m)
 
 
 @pytest.mark.parametrize(
@@ -216,7 +224,7 @@ def test_level_9_gram_kernel_equals_fraction_oracle(d0, c, nullity):
     expected = oracle_rref.nullspace(gram)
     assert len(expected) == nullity
     assert nullspace(gram) == expected
-    assert len(rref(gram)[1]) == len(gram) - nullity
+    assert kernel_rref(gram) == (oracle_rref.rref(expected)[0] if expected else [])
 
 
 # -- the modular certificate never decides a nonzero nullity -------------------------
@@ -226,6 +234,62 @@ def test_certificate_prime_is_one_mod_four_with_sqrt_minus_one():
     assert CERT_PRIME % 4 == 1
     assert all(CERT_PRIME % q for q in range(2, 46341))  # 46341² > CERT_PRIME
     assert CERT_SQRT_MINUS_ONE**2 % CERT_PRIME == CERT_PRIME - 1
+
+
+# -- the packed certificate against the list-based reference ------------------------
+
+P = CERT_PRIME
+CERT_SPECIALS = [P - 1, -1, P, -P, 2 * P, P + 1]  # p − 1 and multiples of p
+
+
+@st.composite
+def scaled_blocks(draw):
+    """(re_rows, im_rows, ncols) as `_scaled` gives them: square or tall, real or Z[i].
+
+    Entries mix small ints, p − 1, multiples of p and 80-bit ints (scaled
+    rows carry large entries); they come from a drawn `Random`, which keeps
+    the 1-288 entries of an example cheap to generate.
+    """
+    nc = draw(st.integers(1, 12))
+    nr = draw(st.integers(nc, 12))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        return rng.choice(CERT_SPECIALS) if kind == 1 else rng.randint(-(2**80), 2**80)
+
+    re_rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    im_rows = [[entry() for _ in range(nc)] for _ in range(nr)] if draw(st.booleans()) else None
+    for r in draw(st.sets(st.integers(0, nr - 1), max_size=3)):  # residues all p − 1
+        re_rows[r] = [P - 1] * nc
+        if im_rows:
+            im_rows[r] = [0] * nc
+    if nc > 1 and draw(st.booleans()):  # rank at most n − 1: the last column depends on the others
+        coeffs = [rng.randint(-3, 3) for _ in range(nc - 1)]
+        for row in re_rows + (im_rows or []):
+            row[-1] = sum(c * x for c, x in zip(coeffs, row))
+    return re_rows, im_rows, nc
+
+
+@settings(max_examples=120, deadline=None)
+@given(scaled_blocks())
+def test_packed_certificate_equals_list_reference(block):
+    assert linalg._full_rank_mod_p(*block) == oracle_rref.full_rank_mod_p(*block)
+
+
+@pytest.mark.parametrize("diag, full", [(1, True), (59, False)])
+def test_packed_certificate_with_every_update_near_p_squared(diag, full):
+    """60 × 60, p − 1 off the diagonal: the residues are −J + (diag + 1)·I, singular when diag = n − 1.
+
+    At this size a multiplier left unreduced (below p² instead of p) makes
+    the slots overflow 96 bits.
+    """
+    n = 60
+    rows = [[diag if r == c else P - 1 for c in range(n)] for r in range(n)]
+    assert linalg._full_rank_mod_p(rows, None, n) is full
+    assert oracle_rref.full_rank_mod_p(rows, None, n) is full
 
 
 @pytest.fixture

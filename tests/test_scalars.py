@@ -268,11 +268,12 @@ def _oracle_entries(rows):
 )
 def test_linalg_results_are_canonical_after_a_negative_pivot(matrix):
     m = [[scalar(x) for x in row] for row in matrix]
-    rows, pivots = linalg.rref(m)
-    want_rows, want_pivots = oracle_rref.rref(m)
-    assert pivots == want_pivots
-    assert _oracle_entries(rows) == _oracle_entries(want_rows)
-    results = [x for row in rows for x in row] + [x for v in linalg.nullspace(m) for x in v]
+    flipped = [row[::-1] for row in m]  # other pivots, so another last pivot D
+    results = []
+    for mat in (m, flipped):
+        basis = linalg.nullspace(mat)
+        assert _oracle_entries(basis) == _oracle_entries(oracle_rref.nullspace(mat))
+        results += [x for v in basis for x in v]
     for x in results:
         a, b, d = parts(x)
         assert d > 0 and math.gcd(a, b, d) == 1

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_rref
 from oracle_dense import DenseOracle, oracle_monomials
 from oracle_worklist import worklist_act, worklist_gram
 from virloop.coeff_algebra import builtin_algebra, trivial_algebra, truncated_poly
@@ -370,6 +371,34 @@ def test_split2_kac_radical_equals_whole_matrix_elimination(d0, c, depth):
         assert nullspace(gram) == kernel, k
         radical = _whole_rref(kernel)[0] if kernel else []
         assert vm.radical_basis(k) == [{monos[i]: x for i, x in enumerate(row) if x} for row in radical], k
+
+
+I = scalar("i")
+
+
+@pytest.mark.parametrize(
+    "name, depth, chi, h, c",
+    [
+        ("truncated-poly 3", 4, [1, 0, 0], "-1/8", "-2"),  # h_{1,2} at t = 2
+        ("truncated-poly 3", 3, [1, 0, 0], "-1/3", "-7"),  # h_{1,3} at t = 3
+        ("cyclic-group 3", 4, [1, 1, 1], "3/8", "-2"),  # h_{2,2} at t = 2
+        ("cyclic-group 3", 3, [1, 1, 1], "1", "-2"),  # h_{2,1} at t = 2
+        ("cyclic-group 4", 4, [ONE, I, -ONE, -I], "1", "-2"),  # a Q(i) character: complex Bareiss
+    ],
+    ids=["truncated-poly-3-h12", "truncated-poly-3-h13", "cyclic-group-3-h22", "cyclic-group-3-h21", "cyclic-group-4-qi"],
+)
+def test_radical_basis_is_rref_of_gram_kernel_across_families(name, depth, chi, h, c):
+    # φ = (c, −h) composed with the character chi of B, as in the levels
+    # benchmark's Kac jobs: V(φ) is the Virasoro irreducible V(c, h), so
+    # almost every monomial lies in the radical
+    algebra = builtin_algebra(name)
+    d0, cc = [-scalar(h) * x for x in chi], [scalar(c) * x for x in chi]
+    vm = VermaModule(algebra, HighestWeight(algebra, d0, cc), depth)
+    for k in range(depth + 1):
+        kernel = oracle_rref.nullspace(vm.gram(k))
+        rows = oracle_rref.rref(kernel)[0] if kernel else []
+        monos = vm.pbw_basis(k)
+        assert vm.radical_basis(k) == [{monos[i]: x for i, x in enumerate(row) if x} for row in rows], k
 
 
 def test_upper_triangle_gram_matches_dense_oracle_split2():
