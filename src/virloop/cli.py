@@ -49,6 +49,7 @@ from .probes import (
     STATUS_UNSATISFIABLE,
     ProbeCertificate,
     ProbeRun,
+    dump_json,
     iso_check,
     iso_differences,
     iso_signature,
@@ -114,7 +115,9 @@ def _add_int_factor(p):
 
 
 def _add_depth(p, default=2):
-    p.add_argument("--depth", type=int, default=default, help="truncation depth of the Verma factor")
+    p.add_argument(
+        "--depth", type=_nonnegative_int, default=default, help="truncation depth of the Verma factor (≥ 0)"
+    )
 
 
 class _WindowAction(argparse.Action):
@@ -127,14 +130,19 @@ class _WindowAction(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+# argparse types bounded as `run` configs bound the same fields
+_positive_int = functools.partial(_int_at_least, minimum=1)
+_nonnegative_int = functools.partial(_int_at_least, minimum=0)
 
 
 def _add_window(p, default=(-6, 6)):
@@ -173,7 +181,7 @@ def _belem_cli(algebra, text, path="--b"):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(dump_json(obj))
 
 
 def _emit_cert(cert: ProbeCertificate) -> int:
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2-d0", nargs="+", default=None, metavar="VAL")
     p.add_argument("--phi2-c", nargs="+", default=None, metavar="VAL")
     _add_depth(p, default=1)
-    p.add_argument("--depth2", type=int, default=None)
+    p.add_argument("--depth2", type=_nonnegative_int, default=None)
     _add_window(p, default=(-4, 4))
     p.add_argument("--k", type=int, default=None, help="seed index on the live side")
     p.add_argument("--degrees", type=_positive_int, default=5, help="number of operator degrees to verify")

@@ -22,7 +22,6 @@ the arithmetic cannot represent honestly.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -37,6 +36,7 @@ from .probes import (
     ProbeCertificate,
     depth_reduction_probe,
     deserialize_tensor,
+    dump_json,
     endo_probe,
     iso_coeffs_cert,
     iso_identity_cert,
@@ -472,7 +472,7 @@ def run_config(cfg: RunConfig, with_timing: bool = False) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dump_json(report) + "\n"
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -547,5 +547,5 @@ def fixture_dump(cfg: RunConfig, outdir: str) -> list[str]:
         "files": sorted(written),
     }
     with _open("manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(dump_json(manifest) + "\n")
     return [os.path.join(outdir, name) for name in sorted(written)]

@@ -34,6 +34,8 @@ closes the run with `unsatisfiable` when its hypotheses exclude the
 parameters, or with `verdict` on its claims: the status is "fail" exactly
 when some claim failed, and the failed claims become the reasons.  A probe
 therefore holds only its operators and its claims.
+
+Every JSON document virloop prints or writes is written by `dump_json`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .coeff_algebra import AlgebraB, CharacterPsi
 from .linalg import SpanBasis, nullspace
@@ -83,8 +86,57 @@ class ProbeCertificate:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return dump_json(self.to_dict())
+
+
+def dump_json(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, in one pass.
+
+    The stdlib runs its pure-Python encoder whenever `indent` is set.  Here
+    each entry prefix (separator, indent, key) is one string, and `str` and
+    exact `int` leaves are encoded directly; every other leaf or non-str key
+    goes through `json.dumps`, so bool, None, float and TypeError are the stdlib's.
+    """
+    chunks = []
+
+    def write(value, newline, emit=chunks.append, encode=encode_basestring_ascii):
+        if isinstance(value, str):
+            emit(encode(value))
+        elif type(value) is int:
+            emit(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                emit("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                if isinstance(key, str):
+                    emit(sep + encode(key) + ": ")
+                elif isinstance(key, (int, float)) or key is None:
+                    emit(sep + encode(json.dumps(key)) + ": ")
+                else:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                write(item, inner)
+                sep = "," + inner
+            emit(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                emit("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                write(item, inner)
+                sep = "," + inner
+            emit(newline + "]")
+        else:
+            emit(json.dumps(value))
+
+    write(obj, "\n")
+    return "".join(chunks)
 
 
 def _ser_belem(b) -> list[str]:
@@ -145,6 +197,15 @@ class ProbeRun:
         self.params = params
         self.tensors = tensors
         self.applications = []
+        # id(op) -> (op, serialize_words(op)); holding op keeps its id from being reused
+        self._serialized = {}
+
+    def _words(self, op: WordSum) -> list:
+        """op serialized once per run; applications of one operator share the list."""
+        entry = self._serialized.get(id(op))
+        if entry is None:
+            entry = self._serialized[id(op)] = (op, serialize_words(op))
+        return entry[1]
 
     def apply(self, op: WordSum, x: TensorVector, module: int = 1) -> TensorVector:
         """Act with op on x in the named module, record the application, return the output."""
@@ -155,7 +216,7 @@ class ProbeRun:
     def record(self, op: WordSum, x: TensorVector, out: TensorVector, module: int = 1) -> None:
         """Record an application computed outside `apply`, for a probe that keeps only some."""
         app = {
-            "operator": serialize_words(op),
+            "operator": self._words(op),
             "input": serialize_tensor(x),
             "output": serialize_tensor(out),
         }
@@ -180,7 +241,7 @@ class ProbeRun:
             self.kind,
             STATUS_FAIL if reasons else STATUS_PASS,
             self.params,
-            operator=None if operator is None else serialize_words(operator),
+            operator=None if operator is None else self._words(operator),
             facts=facts,
             applications=self.applications,
             reasons=reasons,

@@ -410,6 +410,36 @@ def test_cli_reversed_window_is_config_error(command, capsys):
     assert "kmin 8 exceeds kmax -8" in captured.err
 
 
+_PHI = ["--phi-d0", "1", "--psi", "1", "--alpha", "1/2", "--beta", "1/3"]
+
+# every subcommand that builds a Verma factor, with a negative truncation depth
+NEGATIVE_DEPTH_COMMANDS = {
+    "verma": ["verma", "--phi-d0", "1", "--depth", "-1"],
+    "tensor": ["tensor", *_PHI, "--depth", "-1"],
+    "endo-probe": ["endo-probe", *_PHI, "--k", "0", "--depth", "-1"],
+    "x-probe": ["x-probe", *_PHI, "--case", "I", "--b", "e0", "--n", "1", "--depth", "-1"],
+    "cor31": ["cor31", *_PHI, "--b", "e0", "--depth", "-1"],
+    "psi-sep": ["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
+                "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--depth", "-1"],
+    "psi-sep-depth2": ["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
+                       "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--depth2", "-2"],
+    # isomorphic modules: nothing is built, yet the depth is still checked
+    "iso-check": ["iso-check", "--phi1-d0", "1", "--psi1", "1", "--alpha1", "1/2", "--beta1", "1/3",
+                  "--phi2-d0", "1", "--psi2", "1", "--alpha2", "3/2", "--beta2", "1/3", "--depth", "-1"],
+    "iso-check-refute": WINDOW_COMMANDS["iso-check"] + ["--depth", "-1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_DEPTH_COMMANDS))
+def test_cli_negative_depth_is_config_error(command, capsys):
+    # `run` rejects the same depths through config._int_field (minimum 0)
+    assert main(NEGATIVE_DEPTH_COMMANDS[command]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: arguments: argument --depth" in captured.err
+    assert "must be at least 0" in captured.err
+
+
 @pytest.mark.parametrize("degree", ["0", "-2"])
 def test_cli_int_module_degree_below_one_is_config_error(degree, capsys):
     code = main(["int-module", "--alpha", "1/2", "--beta", "1/3", "--degree", degree])
@@ -717,6 +747,7 @@ GOLDEN_FIXTURES = {
     "gram_level_2.csv": "29fddeca4300bdee442bbc488dc52f737f102969ccd5b943a28a5923e54ba719",
     "radical_level_1.csv": "9d991cf4e01b5303c13baf4f6e5dac8233785f854c18ab1018e5da4988662211",
     "radical_level_2.csv": "582f8667ca71a40b68dbe9929c0b0254e3e11d88f91c089f5c35c56ca904eeac",
+    "manifest.json": "e77665581372220d164b15bcca66d350a539aba978485989b0634a4b0206b4b2",
 }
 
 
@@ -740,7 +771,7 @@ def test_cli_golden_stdout(argv, code, digest, capsys):
 def test_cli_golden_fixture_files(tmp_path, capsys):
     assert main(["fixtures", "cor31-split", "--out", str(tmp_path)]) == EXIT_PASS
     capsys.readouterr()
-    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.glob("*.csv"))}
+    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN_FIXTURES
 
 

@@ -1,6 +1,9 @@
 """Probe certificates: separating operators, depth reduction, ladders, isomorphism."""
 
+import hashlib
 import json
+import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -13,12 +16,14 @@ from virloop.coeff_algebra import (
     trivial_algebra,
     truncated_poly,
 )
+from virloop import probes
 from virloop.intermediate import IntModule, IntParams, prime_module
 from virloop.probes import (
     STATUS_FAIL,
     STATUS_PASS,
     STATUS_UNSATISFIABLE,
     depth_reduction_probe,
+    dump_json,
     endo_operator,
     endo_probe,
     find_probe_n,
@@ -485,3 +490,89 @@ def test_certificate_json_deterministic():
     assert cert1.to_json() == cert2.to_json()
     parsed = json.loads(cert1.to_json())
     assert parsed["status"] == "pass"
+
+
+# -- the JSON writer and the operator cache ---------------------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "a\x00\x1f\n\t\x7f", "é€𝄞", "\u2028\ud800"])
+_INTS = st.integers() | st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 10**40, -(10**40)])
+_FLOATS = st.floats() | st.sampled_from([-0.0, 1e-7, 1e22, math.inf, -math.inf, math.nan])
+_LEAVES = st.one_of(_TEXT, _TEXT.map(_Str), _INTS, _FLOATS, st.booleans(), st.none())
+# one key family per dict sorts; mixing str with another family raises TypeError in both writers
+_KEY_FAMILIES = st.sampled_from(
+    [
+        _TEXT | _TEXT.map(_Str),
+        _INTS | st.booleans(),
+        _FLOATS | _INTS,
+        st.none(),
+        st.one_of(_TEXT, _INTS, st.none()),
+    ]
+)
+
+
+def _containers(children):
+    items = st.lists(children, max_size=4)
+    return st.one_of(
+        items,
+        items.map(tuple),
+        items.map(_List),
+        _KEY_FAMILIES.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        st.dictionaries(_TEXT, children, max_size=4).map(lambda d: OrderedDict(reversed(d.items()))),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, _containers, max_leaves=24))
+def test_dump_json_equals_stdlib_indented_sorted_dump(tree):
+    try:
+        expected = json.dumps(tree, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dump_json(tree)
+    else:
+        assert dump_json(tree) == expected
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [ONE, [1, {"a": scalar(2)}], {scalar(1): 0}, {(1, 2): 0}, {"a": {1, 2}}],
+    ids=["leaf", "nested", "scalar-key", "tuple-key", "set"],
+)
+def test_dump_json_rejects_what_stdlib_rejects(tree):
+    with pytest.raises(TypeError):
+        json.dumps(tree, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dump_json(tree)
+
+
+def test_each_probe_operator_is_serialized_once(monkeypatch):
+    calls = []
+
+    def counting(words):
+        calls.append(words)
+        return serialize_words(words)
+
+    serialize_words = probes.serialize_words
+    monkeypatch.setattr(probes, "serialize_words", counting)
+    tensor = tensor_over_c(1, 0, Fraction(1, 2), 2, 3)
+    cert = endo_probe(tensor, 0, 3)
+    # w is applied to the seed and to every quotient monomial of levels 1..3
+    assert cert.status == STATUS_PASS
+    assert len(cert.applications) == 7
+    assert len(calls) == 1
+    # the bytes the certificate printed before operators were shared
+    text = cert.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0273de29818f982fd2ca7b784577d0d9a059af314cb5ef8302b688151b903a65"
+    )
+    assert replay_certificate(cert, tensor)
+    assert replay_certificate(json.loads(text), tensor)

@@ -177,3 +177,98 @@ def test_src_defines_nothing_that_nothing_reads():
     dead = dead_definitions(sources)
     assert sorted(set(dead) - set(READ_OUTSIDE_SRC)) == []
     assert set(READ_OUTSIDE_SRC) <= set(dead), "an allowlisted name is read in src or gone"
+
+
+# The only module-level definitions in src/virloop that may call json.dumps or json.dump,
+# with the keywords each call passes: no indent anywhere, so the output format lives in one place.
+JSON_DUMPS_ALLOWED = {
+    "dump_json": set(),  # the one writer of every printed or written document
+    "serialize_words": {"sort_keys"},  # the compact sort key of an operator's words
+}
+
+
+def json_dumps_calls(source: str) -> list:
+    """(enclosing module-level definition or None, keyword names) of each json.dump(s) call.
+
+    `from json import dumps` (or `dump`) is reported as a call at module level,
+    so an alias cannot hide one.
+    """
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "json":
+                calls.extend((owner, set()) for a in child.names if a.name in ("dump", "dumps"))
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("dump", "dumps")
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "json"
+            ):
+                calls.append((owner, {k.arg for k in child.keywords}))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return calls
+
+
+def json_format_violations(source: str) -> list:
+    return [
+        (owner, sorted(keywords))
+        for owner, keywords in json_dumps_calls(source)
+        if JSON_DUMPS_ALLOWED.get(owner) != keywords
+    ]
+
+
+def test_json_format_violations_detects_and_spares():
+    source = '''
+import json
+from json import dumps as d
+
+
+def dump_json(obj):
+    def write(value):
+        return json.dumps(value)
+    return write(obj)
+
+
+def serialize_words(words):
+    return sorted(words, key=lambda t: json.dumps(t, sort_keys=True))
+
+
+def emit(obj):
+    print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+class Cert:
+    def to_json(self, fh):
+        json.dump(self.data, fh)
+
+
+def serialize_tensor(vec):
+    return json.dumps(vec, sort_keys=True, indent=None)
+
+
+def serialize_words(words):
+    return json.dumps(words, indent=2)
+
+
+TOP = json.dumps({})
+'''
+    assert json_format_violations(source) == [
+        (None, []),
+        ("emit", ["indent", "sort_keys"]),
+        ("Cert", []),
+        ("serialize_tensor", ["indent", "sort_keys"]),
+        ("serialize_words", ["indent"]),
+        (None, []),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_writes_json_only_through_dump_json(path):
+    assert json_format_violations(path.read_text(encoding="utf-8")) == []
