@@ -29,8 +29,8 @@ from .config import (
     ConfigError,
     RunConfig,
     _scalar_field,
+    _validate_probe,
     algebra_field,
-    belem_field,
     build_modules,
     execute_probe,
     fixture_dump,
@@ -145,6 +145,11 @@ _positive_int = functools.partial(_int_at_least, minimum=1)
 _nonnegative_int = functools.partial(_int_at_least, minimum=0)
 
 
+def _belem_text(text: str):
+    """A basis label, or comma-separated coordinates as the list a config would hold."""
+    return text.split(",") if "," in text else text
+
+
 def _add_window(p, default=(-6, 6)):
     p.add_argument(
         "--window",
@@ -174,12 +179,6 @@ def _spec(args) -> RunConfig:
     return cfg
 
 
-def _belem_cli(algebra, text, path="--b"):
-    if "," in text:
-        return belem_field(algebra, [s.strip() for s in text.split(",")], path)
-    return belem_field(algebra, text, path)
-
-
 def _emit(obj) -> None:
     print(dump_json(obj))
 
@@ -189,8 +188,13 @@ def _emit_cert(cert: ProbeCertificate) -> int:
     return _STATUS_EXIT[cert.status]
 
 
-def _run_probe(cfg: RunConfig, desc: dict) -> int:
-    """Build cfg's modules and run one probe descriptor, as `run` would."""
+def _run_probe(cfg: RunConfig, raw: dict, path: str) -> int:
+    """Validate raw flag values as `run` validates a probe descriptor, then run it as `run` would.
+
+    A flag left at None is absent from the descriptor.
+    """
+    raw = {name: value for name, value in raw.items() if value is not None}
+    desc = _validate_probe(cfg.algebra, raw, path, cfg.psi is not None, cfg.depth)
     _, tensor = build_modules(cfg)
     return _emit_cert(execute_probe(cfg, tensor, 0, desc))
 
@@ -260,46 +264,34 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_endo_probe(args) -> int:
-    return _run_probe(_spec(args), {"kind": "endo", "m": args.m, "k": args.k})
+    return _run_probe(_spec(args), {"kind": "endo", "m": args.m, "k": args.k}, args.command)
 
 
 def _cmd_x_probe(args) -> int:
-    cfg = _spec(args)
-    desc = {"kind": "depth-reduction", "case": args.case, "b": _belem_cli(cfg.algebra, args.b),
-            "m": args.m, "n": args.n, "l_max": args.l_max, "vector": None}
-    return _run_probe(cfg, desc)
+    raw = {"kind": "depth-reduction", "case": args.case, "b": args.b, "m": args.m, "n": args.n,
+           "l_max": args.l_max}
+    return _run_probe(_spec(args), raw, args.command)
 
 
 def _cmd_cor31(args) -> int:
-    cfg = _spec(args)
-    return _run_probe(cfg, {"kind": "ladder", "b": _belem_cli(cfg.algebra, args.b)})
+    return _run_probe(_spec(args), {"kind": "ladder", "b": args.b}, args.command)
 
 
 def _cmd_psi_sep(args) -> int:
     cfg = _spec(args)
     cfg.psi = psi_field(cfg.algebra, args.psi1, "--psi1")
-    psi2 = psi_field(cfg.algebra, args.psi2, "--psi2")
     cfg.alpha = _scalar_field(args.alpha, "--alpha")
     cfg.beta = _scalar_field(args.beta, "--beta")
-    desc = {
-        "kind": "psi-separation",
-        "psi2": psi2,
-        "alpha2": None if args.alpha2 is None else _scalar_field(args.alpha2, "--alpha2"),
-        "beta2": None if args.beta2 is None else _scalar_field(args.beta2, "--beta2"),
-        "phi2": None
-        if args.phi2_d0 is None
-        else hw_field(cfg.algebra, args.phi2_d0, args.phi2_c, "--phi2-d0", "--phi2-c"),
-        "depth2": args.depth2,
-        "k": args.k,
-        "degrees": args.degrees,
-    }
-    return _run_probe(cfg, desc)
+    phi2 = {name: v for name, v in (("d0", args.phi2_d0), ("c", args.phi2_c)) if v is not None} or None
+    raw = {"kind": "psi-separation", "psi2": args.psi2, "alpha2": args.alpha2, "beta2": args.beta2,
+           "phi2": phi2, "depth2": args.depth2, "k": args.k, "degrees": args.degrees}
+    return _run_probe(cfg, raw, args.command)
 
 
 def _cmd_iso_coeffs(args) -> int:
-    desc = {name: _scalar_field(getattr(args, name), f"--{name}") for name in ("A", "b1", "Q", "b2")}
+    raw = {"kind": "iso-coeffs", **{name: getattr(args, name) for name in ("A", "b1", "Q", "b2")}}
     # the coefficient system involves no module, so there is nothing to build
-    return _emit_cert(execute_probe(None, None, 0, {"kind": "iso-coeffs", **desc}))
+    return _emit_cert(execute_probe(None, None, 0, _validate_probe(None, raw, args.command, False, 0)))
 
 
 def _cmd_iso_check(args) -> int:
@@ -399,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--irreducibility",
         action="store_true",
-        help="also check that every quotient-basis vector generates the top vector",
+        help="also certify every radical: the Gram matrix kills it, and no nonzero quotient vector "
+        "is killed by every d_1 and d_2 tensor a basis element of B",
     )
     p.set_defaults(func=_cmd_verma)
 
@@ -426,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int_factor(p)
     _add_depth(p)
     p.add_argument("--case", choices=["I", "II"], required=True)
-    p.add_argument("--b", required=True, help="basis label or comma-separated coordinates in B")
+    p.add_argument(
+        "--b", type=_belem_text, required=True, help="basis label or comma-separated coordinates in B"
+    )
     p.add_argument("--m", type=int, default=0, help="weight offset of the probed vector")
     p.add_argument("--n", type=int, required=True, help="top depth of the probed vector")
     p.add_argument("--l-max", type=_positive_int, default=None, help="scan bound for the operator degree")
@@ -438,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int_factor(p)
     _add_depth(p)
     _add_window(p)
-    p.add_argument("--b", required=True, help="basis label or comma-separated coordinates in B")
+    p.add_argument(
+        "--b", type=_belem_text, required=True, help="basis label or comma-separated coordinates in B"
+    )
     p.set_defaults(func=_cmd_cor31)
 
     p = sub.add_parser("psi-sep", help="separating-element certificate for two characters")

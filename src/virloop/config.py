@@ -322,6 +322,8 @@ def _validate_probe(algebra, desc, path: str, have_psi: bool, depth: int) -> dic
         out["l_max"] = _optional(desc, "l_max", path, _int_field, minimum=1)
         out["vector"] = desc.get("vector")
     elif kind == "ladder":
+        if depth < 1:
+            raise ConfigError(path, "probe kind 'ladder' needs depth >= 1")
         if "b" not in desc:
             raise ConfigError(f"{path}.b", "required field is missing")
         out["b"] = belem_field(algebra, desc["b"], f"{path}.b")

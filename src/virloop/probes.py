@@ -578,6 +578,9 @@ def pure_tensor_ladder_check(
         hold exactly on the window with nonvanishing coefficients;
     (c) iterating the ladders connects every pure tensor in the window to
         every other, so the cyclic submodules they generate coincide.
+
+    Stage a reads level 1, so a Verma factor of depth 0 raises
+    DepthExceededError.
     """
     algebra = tensor.algebra
     vm = tensor.verma
@@ -613,9 +616,6 @@ def pure_tensor_ladder_check(
     run = ProbeRun("ladder", params, tensor)
     if reasons:
         return run.unsatisfiable(reasons)
-
-    if vm.depth < 1:
-        vm.extend_depth(1)
 
     # stage a: radical membership at level 1
     lvl1 = {((1, j),): c for j, c in enumerate(b) if c}

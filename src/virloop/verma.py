@@ -19,9 +19,9 @@ One memoized engine, PbwAction, acts with single generators d_n⊗e_j on
 PBW monomials: a generator is commuted past the leading factor with a
 bracket correction, and each (n, j, monomial) maps to a cached sparse
 vector, so equal terms merge at the vector level instead of being
-rewritten word by word.  Gram entries, the action on V(φ), word sums
-(normal_order) and the irreducibility closure all go through it; each
-VermaModule owns one cache shared by all its levels.
+rewritten word by word.  Gram entries, the action on V(φ) and word sums
+(normal_order) all go through it; each VermaModule owns one cache shared
+by all its levels.
 
 A monomial is a tuple of (depth, bindex) pairs sorted by (-depth, bindex);
 vectors are sparse dicts {monomial: scalar}.
@@ -345,54 +345,41 @@ class VermaModule:
             )
         return target, self.vphi_reduce(target, self._action.apply(gen, vec))
 
-    # -- truncated irreducibility oracle --------------------------------------------------
-
-    def cyclic_closure_contains_top(self, k: int, vec: PbwVector) -> bool:
-        """Does the truncated submodule generated by vec reach the highest weight line?
-
-        Closes span{vec} under all generators d_n⊗e_j with |n| ≤ depth whose
-        action stays within the truncation, then looks for a component on
-        the empty monomial.  For the irreducible quotient this must succeed
-        for every nonzero vec.
-        """
-        span = SpanBasis()
-        start = {(k, mono): c for mono, c in self.vphi_reduce(k, vec).items()}
-        if not start:
-            return False
-        queue = [start]
-        span.add(dict(start))
-        gens = [
-            Generator(KIND_D, n, self.algebra.basis_elem(j))
-            for n in range(-self.depth, self.depth + 1)
-            for j in range(self.algebra.dim)
-        ]
-        while queue:
-            cur = queue.pop()
-            by_level: dict[int, PbwVector] = {}
-            for (lvl, mono), c in cur.items():
-                _deposit(by_level.setdefault(lvl, {}), mono, c)
-            for gen in gens:
-                img: dict = {}
-                for lvl, vec_l in by_level.items():
-                    target = lvl - gen.degree
-                    if target < 0 or target > self.depth:
-                        continue
-                    _, res = self.act_on_vphi(gen, lvl, vec_l)
-                    for mono, c in res.items():
-                        key = (target, mono)
-                        s = img.get(key, ZERO) + c
-                        if s:
-                            img[key] = s
-                        else:
-                            img.pop(key, None)
-                if img and span.add(img):
-                    queue.append(img)
-        return any(key == (0, ()) for key in span.support())
+    # -- irreducibility certificate ----------------------------------------------------
 
     def quotient_irreducibility_check(self) -> bool:
-        """Every quotient-basis vector at every level generates down to the top."""
-        for k in range(self.depth + 1):
-            for mono in self.quotient_monomials(k):
-                if not self.cyclic_closure_contains_top(k, {mono: ONE}):
-                    return False
+        """Certify that every computed radical is N(φ), so V(φ) is irreducible to depth.
+
+        Two checks run at every level 1 ≤ k ≤ depth:
+
+        (a) G_k·x = 0 for every radical basis vector x, read from the stored
+            Gram matrix: no radical is too big.
+        (b) The images of each quotient monomial under every d_1⊗e_j and
+            every d_2⊗e_j, stacked as the columns of a matrix
+            V_k → V_{k-1} ⊕ V_{k-2}, leave an empty nullspace: no radical is
+            too small.  Take the lowest level where a vector r of N(φ) is
+            missing.  The raising operators send r into the lower radicals,
+            which are right, so r modulo the computed radical would be a
+            nonzero kernel vector.
+
+        Conversely, B is unital and [d_1⊗1, d_n⊗b] = (n-1)·d_{n+1}⊗b, so
+        d_1⊗B and d_2⊗B generate the positive part: a quotient vector they
+        all kill is singular, and lies in N(φ).  (b) therefore also shows,
+        by induction on k, that every nonzero quotient vector reaches the
+        highest weight line.
+        """
+        raising = [Generator(KIND_D, n, self.algebra.basis_elem(j))
+                   for n in (1, 2) for j in range(self.algebra.dim)]
+        for k in range(1, self.depth + 1):
+            lv = self._levels[k]
+            if any(sum((row[lv.index[m]] * c for m, c in x.items()), ZERO)
+                   for x in lv.radical.vectors() for row in lv.gram):
+                return False
+            columns = [{(i, m): c for i, gen in enumerate(raising)
+                        for m, c in self.act_on_vphi(gen, k, {mono: ONE})[1].items()}
+                       for mono in lv.quotient_monomials]
+            rows = sorted(set().union(*columns))
+            # nullspace reads a matrix without rows as injective, so no image at all fails here
+            if columns and (not rows or nullspace([[col.get(r, ZERO) for col in columns] for r in rows])):
+                return False
         return True

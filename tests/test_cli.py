@@ -979,3 +979,67 @@ def test_generation_check_fails_without_the_degree_minus_one_images(monkeypatch,
     assert tensor.generation_check(2, -3, 3) is False
     assert main(argv) == EXIT_FAIL
     assert json.loads(capsys.readouterr().out)["generated_by_pure_tensors"] is False
+
+
+# -- one validator for probe flags and probe descriptors ----------------------------------
+
+# (subcommand argv, the one-probe config that declares the same input, the shared message tail)
+INVALID_PROBE_PAIRS = [
+    (
+        ["x-probe", "--case", "I", *_GAP6_FLAGS[:-2], "--n", "0"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1/2", "beta": "2",
+         "depth": 1, "probes": [{"kind": "depth-reduction", "case": "I", "b": "e0", "m": 1, "n": 0}]},
+        "n: must be >= 1",
+    ),
+    (
+        ["endo-probe", *_PHI, "--k", "3", "--depth", "1"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1/2", "beta": "1/3",
+         "depth": 1, "probes": [{"kind": "endo", "k": 3}]},
+        "k: exceeds the configured depth 1",
+    ),
+    (
+        ["cor31", *_SPLIT_FLAGS, "--phi-d0", "1", "0", "--psi", "0", "1", "--depth", "0",
+         "--window", "-2", "2", "--b", "e1"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["1", "0"]}, psi=["0", "1"], depth=0, window=[-2, 2],
+             probes=[{"kind": "ladder", "b": "e1"}]),
+        "probe kind 'ladder' needs depth >= 1",
+    ),
+    (
+        ["psi-sep", *_SPLIT_FLAGS, "--phi-d0", "0", "1", "--psi1", "1", "0", "--psi2", "0", "1",
+         "--phi2-c", "1", "1", "--window", "-2", "2"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["0", "1"]}, psi=["1", "0"], window=[-2, 2],
+             probes=[{"kind": "psi-separation", "psi2": ["0", "1"], "phi2": {"c": ["1", "1"]}}]),
+        "phi2.d0: required field is missing",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message", INVALID_PROBE_PAIRS, ids=[a[0] for a, _, _ in INVALID_PROBE_PAIRS]
+)
+def test_cli_and_run_refuse_the_same_probe_input(argv, config, message, tmp_path, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_ladder_probe_leaves_the_shared_module_unchanged():
+    # a ladder probe at depth 0 used to deepen the Verma factor, so a later probe of
+    # the same run checked more degrees than its report's depth allows
+    from virloop.config import execute_probe
+    from virloop.verma import DepthExceededError
+
+    data = dict(_SPLIT_CONFIG, phi={"d0": ["1", "0"]}, psi=["0", "1"], depth=0, window=[-2, 2],
+                probes=[{"kind": "psi-separation", "psi2": ["1", "0"]}])
+    cfg = load_config(data)
+    alone = run_config(cfg)["results"]["probes"][0]
+    vm, tensor = build_modules(cfg)
+    with pytest.raises(DepthExceededError):
+        execute_probe(cfg, tensor, 0, {"kind": "ladder", "b": split_algebra(2).basis_elem(1)})
+    assert vm.depth == 0
+    assert execute_probe(cfg, tensor, 1, cfg.probes[0]).to_dict() == alone

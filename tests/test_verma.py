@@ -489,6 +489,85 @@ def test_quotient_irreducibility_degenerate_phi():
     assert vm.quotient_irreducibility_check()
 
 
+# -- the two-sided radical certificate on constructed defects -------------------------
+
+
+def _set_radical(vm, k, vectors):
+    """Replace level k's radical by the given echelon rows, and its quotient basis to match."""
+    lv = vm._levels[k]
+    lv.radical = SpanBasis.from_echelon(vectors)
+    lv.quotient_monomials = [m for m in lv.monomials if m not in lv.radical.pivots()]
+
+
+def test_quotient_irreducibility_fails_with_every_radical_emptied():
+    # h_{1,2} at c = -2: the level-2 singular vector is a combination of monomials,
+    # each of which alone still generates the top
+    vm = VermaModule(TRIV, hw_c(-1, -2), 4)
+    assert [vm.radical_dim(k) for k in range(5)] == [0, 0, 1, 1, 2]
+    assert vm.quotient_irreducibility_check()
+    for k in range(5):
+        _set_radical(vm, k, [])
+    assert not vm.quotient_irreducibility_check()
+
+
+def test_quotient_irreducibility_fails_with_a_spurious_radical_vector():
+    vm = VermaModule(TRIV, hw_c("1/2", "1/3"), 4)
+    assert vm.radical_dim(3) == 0
+    _set_radical(vm, 3, [{vm.pbw_basis(3)[1]: ONE}])
+    assert not vm.quotient_irreducibility_check()
+
+
+def test_quotient_irreducibility_fails_with_a_radical_vector_dropped():
+    # Kac (2,2) at t = 2: the radical first appears at level 4, one vector wide
+    vm = VermaModule(TRIV, hw_c("-3/8", "-2"), 6)
+    assert [vm.radical_dim(k) for k in range(7)] == [0, 0, 0, 0, 1, 1, 2]
+    _set_radical(vm, 4, [])
+    assert not vm.quotient_irreducibility_check()
+
+
+# -- closed forms beyond the dense oracle, each with a passing certificate ----------------
+
+
+@pytest.mark.parametrize(
+    "d0_t, c_w, radical",
+    [
+        ("0", "6", [0, 1, 3, 6, 13, 25, 46]),
+        ("3/2", "12", [0, 0, 1, 2, 5, 10, 20]),
+        ("4", "12", [0, 0, 0, 1, 2, 5, 10]),
+    ],
+)
+def test_w22_radical_first_appears_at_zhang_dong_level(d0_t, c_w, radical):
+    # truncated-poly 2 is W(2,2) (Zhang-Dong, Commun. Math. Phys. 285, 2009): with
+    # h_W = -φ(d_0⊗t) and c_W = φ(C⊗t) != 0, the radical first appears at the least
+    # p >= 1 with 2 h_W + (p² - 1) c_W / 12 = 0
+    h_w, c = -Fraction(d0_t), Fraction(c_w)
+    p = next(p for p in range(1, 7) if 2 * h_w + (p * p - 1) * c / 12 == 0)
+    assert radical.index(next(d for d in radical if d)) == p
+    algebra = truncated_poly(2)
+    vm = VermaModule(algebra, HighestWeight(algebra, ["1/2", d0_t], ["1/3", c_w]), 6)
+    assert [vm.radical_dim(k) for k in range(7)] == radical
+    assert vm.quotient_irreducibility_check()
+
+
+def test_kac_22_certificate_at_depth_12():
+    vm = VermaModule(TRIV, hw_c("-3/8", "-2"), 12)
+    assert [vm.radical_dim(k) for k in range(13)] == [0, 0, 0, 0, 1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert vm.quotient_irreducibility_check()
+
+
+def test_cyclic_group2_certificate_and_convolution_at_depth_7():
+    # on the idempotents (1 ± g)/2 this φ is Kac (2,2) at t = 2 twice, so V(φ) is
+    # that Virasoro quotient tensored with itself
+    factor = [VermaModule(TRIV, hw_c("-3/8", "-2"), 7).vphi_dim(k) for k in range(8)]
+    algebra = builtin_algebra("cyclic-group 2")
+    vm = VermaModule(algebra, HighestWeight(algebra, ["-3/4", "0"], ["-4", "0"]), 7)
+    assert [vm.vphi_dim(k) for k in range(8)] == [
+        sum(factor[a] * factor[k - a] for a in range(k + 1)) for k in range(8)
+    ]
+    assert vm.radical_dim(4) > 0
+    assert vm.quotient_irreducibility_check()
+
+
 def test_omega_word_reverses_and_raises():
     mono = ((2, 1), (1, 0))
     B = truncated_poly(2)
