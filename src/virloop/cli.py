@@ -207,9 +207,12 @@ def _cmd_int_module(args) -> int:
     beta = _scalar_field(args.beta, "--beta")
     kmin, kmax = args.window
     raw = IntModule(IntParams(alpha, beta, None), INDEX_ALL)
+    prime = prime_module(alpha, beta)
+    # the normalized module's indices are a subset of the raw module's
+    if len(prime.window_indices(kmin, kmax)) < 2:
+        raise ConfigError("--window", f"[{kmin}, {kmax}] holds fewer than 2 allowed indices")
     predicate = is_irreducible_int(alpha, beta)
     raw_full = raw.closure_is_full(kmin, kmax, args.degree)
-    prime = prime_module(alpha, beta)
     prime_full = prime.closure_is_full(kmin, kmax, args.degree)
     consistent = (raw_full == predicate) and prime_full
     _emit(
@@ -499,7 +502,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, DepthExceededError, ValueError) as exc:
+    except (ConfigError, DepthExceededError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:

@@ -42,6 +42,7 @@ from .probes import (
     iso_identity_cert,
     psi_separation,
     pure_tensor_ladder_check,
+    separating_vector,
 )
 from .scalars import ZERO, GaussianRational, scalar
 from .tensor_product import TensorModule
@@ -405,13 +406,21 @@ def execute_probe(cfg: RunConfig, tensor, index: int, desc: dict) -> ProbeCertif
             tensor, desc["case"], desc["b"], desc["m"], desc["n"], w_vec, l_max=desc["l_max"]
         )
     if kind == "ladder":
-        return pure_tensor_ladder_check(tensor, desc["b"], cfg.window[0], cfg.window[1])
+        kmin, kmax = cfg.window
+        if kmax <= kmin:
+            raise ConfigError("window", "probe kind 'ladder' needs at least two indices")
+        return pure_tensor_ladder_check(tensor, desc["b"], kmin, kmax)
     if kind == "psi-separation":
         # the second module is the first with every given field replaced
         second = {"hw": desc["phi2"], "psi": desc["psi2"], "alpha": desc["alpha2"],
                   "beta": desc["beta2"], "depth": desc["depth2"]}
         _, tensor2 = build_modules(replace(cfg, **{k: v for k, v in second.items() if v is not None}))
-        return psi_separation(tensor, tensor2, cfg.window, k=desc["k"], num_l=desc["degrees"])
+        k = desc["k"]
+        # the seed index lives on the module whose character does not vanish at the witness
+        found = k is not None and separating_vector(cfg.algebra, cfg.psi, tensor2.intermediate.params.psi)
+        if found and not (tensor2, tensor)[found[1] - 1].intermediate.allowed_index(k):
+            raise ConfigError(f"probes[{index}].k", f"index {k} lies outside the live module's basis")
+        return psi_separation(tensor, tensor2, cfg.window, k=k, num_l=desc["degrees"])
     if kind == "iso-identity":
         return iso_identity_cert(cfg.seed, index, desc["samples"])
     if kind == "iso-coeffs":

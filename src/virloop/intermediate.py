@@ -12,10 +12,10 @@ remaining degenerate pair (α,β) = (0,0) the module keeps index set
 Z - {0}, discarding any v_0 component an action produces.
 
 Vectors are sparse dicts {k: coefficient}.  Actions are exact and
-unwindowed.  Finite windows appear only in the two closure scans:
-`submodule_closure`, a span elimination that truncates to the window to
-keep iteration monotone, and `closure_is_full`, which decides the same
-question for single seeds v_k by reachability on window indices.
+unwindowed.  Finite windows appear only in `closure_is_full`, which
+decides by reachability on window indices whether the submodule each
+single v_k generates fills the window.  The tests check it against a
+span-elimination closure (tests/oracle_lie.py).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_algebra import CharacterPsi
-from .linalg import SpanBasis
+from .linalg import deposit
 from .scalars import GaussianRational, ONE, ZERO, normalize_alpha, scalar
-from .virasoro import Generator, KIND_C, LieElement
+from .virasoro import Generator, KIND_C
 
 IntVector = dict
 
@@ -84,9 +84,6 @@ class IntModule:
             out[int(k)] = c
         return out
 
-    def basis_vector(self, k: int) -> IntVector:
-        return self.vector({k: 1})
-
     def allowed_index(self, k: int) -> bool:
         return self.index_set == INDEX_ALL or k != 0
 
@@ -106,17 +103,8 @@ class IntModule:
         if not psi_b:
             return out
         for k, c in vec.items():
-            coeff = psi_b * (p.alpha + scalar(k) + scalar(n) * p.beta) * c
-            if not coeff:
-                continue
-            k2 = k + n
-            if not self.allowed_index(k2):
-                continue
-            s = out.get(k2, ZERO) + coeff
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
+            if self.allowed_index(k + n):
+                deposit(out, k + n, psi_b * (p.alpha + scalar(k) + scalar(n) * p.beta) * c)
         return out
 
     def act(self, gen: Generator, vec: IntVector) -> IntVector:
@@ -126,51 +114,10 @@ class IntModule:
             raise ValueError("module has abstract coefficients; use act_d with psi(b)")
         return self.act_d(gen.degree, self.params.psi.of(gen.bcoef), vec)
 
-    def act_lie(self, x: LieElement, vec: IntVector) -> IntVector:
-        if self.params.psi is None:
-            raise ValueError("module has abstract coefficients; use act_d with psi(b)")
-        psi = self.params.psi
-        out: IntVector = {}
-        for (degree, kind, j), coeff in x.terms.items():
-            if kind == KIND_C:
-                continue
-            part = self.act_d(degree, psi.values[j], vec)
-            for k, c in part.items():
-                s = out.get(k, ZERO) + coeff * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    # -- finite oracle -------------------------------------------------------------
+    # -- finite window -------------------------------------------------------------
 
     def window_indices(self, kmin: int, kmax: int) -> list[int]:
         return [k for k in range(kmin, kmax + 1) if self.allowed_index(k)]
-
-    def submodule_closure(
-        self, seeds, kmin: int, kmax: int, max_degree: int
-    ) -> tuple[list[IntVector], set[int]]:
-        """Close span(seeds) under d_n for |n| ≤ max_degree inside a window.
-
-        Components pushed outside [kmin, kmax] are discarded, so the result
-        is the invariant span of the window-truncated action.  Returns the
-        echelonized basis and the set of reachable indices.
-        """
-        span = SpanBasis()
-        queue = []
-        for seed in seeds:
-            vec = {k: c for k, c in seed.items() if kmin <= k <= kmax}
-            if span.add(vec):
-                queue.append(vec)
-        while queue:
-            vec = queue.pop()
-            for n in range(-max_degree, max_degree + 1):
-                img = self.act_d(n, ONE, vec)
-                img = {k: c for k, c in img.items() if kmin <= k <= kmax}
-                if img and span.add(img):
-                    queue.append(img)
-        return span.vectors(), {k for k in span.support()}
 
     def closure_is_full(self, kmin: int, kmax: int, max_degree: int) -> bool:
         """True iff the closure of every single v_k fills the whole window.
@@ -179,7 +126,7 @@ class IntModule:
         maps v_k to (α + k + nβ)·v_{k+n}, a multiple of one basis vector, so
         the span of the basis vectors reachable from v_k is invariant and
         any invariant span containing v_k contains each of them.  The
-        closure of v_k (as `submodule_closure` computes it) is therefore
+        closure of v_k under the window-truncated action is therefore
         spanned by the v_j that v_k reaches along edges k → k+n with
         0 < |n| ≤ max_degree, α + k + nβ ≠ 0 and k+n an allowed index in
         the window.  The window is full when every index reaches every

@@ -4,7 +4,8 @@ Two flavours are used throughout the package:
 
 * dense matrices as lists of lists, for Gram matrices and their kernels;
 * sparse vectors as dicts keyed by arbitrary orderable coordinates, for
-  span closures (ideal generation, submodule search, generation checks).
+  span closures (ideal generation, radicals, generation checks); every
+  module action sums into them through `deposit`.
 
 Dense elimination (`nullspace`) runs on one fraction-free engine over
 the Gaussian integers Z[i]:
@@ -345,20 +346,11 @@ class SpanBasis:
         """Echelon basis sorted by pivot coordinate."""
         return [dict(self._rows[k]) for k in sorted(self._rows)]
 
-    def support(self) -> set:
-        out = set()
-        for row in self._rows.values():
-            out.update(row)
-        return out
 
-
-def vec_add_scaled(acc: SparseVec, vec: SparseVec, factor: GaussianRational) -> None:
-    """acc += factor * vec, dropping entries that cancel to zero."""
-    if not factor:
-        return
-    for c, v in vec.items():
-        s = acc.get(c, ZERO) + factor * v
-        if s:
-            acc[c] = s
-        else:
-            acc.pop(c, None)
+def deposit(acc: SparseVec, key, coeff: GaussianRational) -> None:
+    """acc[key] += coeff, dropping the entry when it cancels to zero."""
+    s = acc.get(key, ZERO) + coeff
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)

@@ -374,7 +374,7 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
             ["degenerate parameters: a separating-operator condition vanishes identically in n"]
         )
     w = endo_operator(tensor.algebra, alpha, beta, m, n)
-    annihilated = tensor.is_zero(run.apply(w, tensor.seed(m)))
+    annihilated = not run.apply(w, tensor.seed(m))
 
     span = SpanBasis()
     expected = 0
@@ -387,7 +387,7 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
         expected += tensor.verma.vphi_dim(i)
         for mono in tensor.verma.quotient_monomials(i):
             out = run.apply(w, {(i, mono, m + i): ONE})
-            if tensor.is_zero(out):
+            if not out:
                 nonzero = False
             else:
                 span.add(dict(out))
@@ -489,7 +489,7 @@ def depth_reduction_probe(
     # irreducible quotient below the top line, and none exist
     offsets = {k - i for (i, _mono, k) in w_vec}
     x_top = {mono: c for (i, mono, _k), c in w_vec.items() if i == n}
-    if tensor.is_zero(w_vec):
+    if not w_vec:
         reasons.append("input vector is zero")
     elif offsets != {m}:
         reasons.append(f"input is not a weight vector of offset {m}; offsets {sorted(offsets)}")
@@ -526,11 +526,11 @@ def depth_reduction_probe(
                 * WordSum.single(algebra, d_gen(1, b))
             ).scale(ratio)
         kill = tensor.act_words(x_op, seed)
-        if not tensor.is_zero(kill):
+        if kill:
             attempts.append({"l": l, "outcome": "seed not annihilated"})
             continue
         image = tensor.act_words(x_op, w_vec)
-        if tensor.is_zero(image):
+        if not image:
             attempts.append({"l": l, "outcome": "image vanishes"})
             continue
         top_out = _top_level(image)
@@ -768,7 +768,7 @@ def psi_separation(
                 for kk in killed.intermediate.window_indices(kmin, kmax):
                     out = run.apply(op, {(i, mono, kk): ONE}, module=killed_tag)
                     checked += 1
-                    if not killed.is_zero(out):
+                    if out:
                         kill_ok = False
         expected = {(0, (), k + l): psi_live.of(b) * _lin(alpha, beta, k, l)}
         got = run.apply(op, live.seed(k), module=live_tag)

@@ -167,14 +167,7 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self._t
-        return _make((a, -b, d))
-
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self
 
     def is_integer(self) -> bool:
         """True exactly when the value lies in Z (no imaginary part, denominator 1)."""

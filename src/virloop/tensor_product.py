@@ -19,22 +19,12 @@ so homogeneous vectors of offset n are supported on pairs with k-i = n.
 from __future__ import annotations
 
 from .intermediate import IntModule
-from .linalg import SpanBasis
+from .linalg import SpanBasis, deposit
 from .scalars import ONE, ZERO, scalar
 from .verma import DepthExceededError, VermaModule
-from .virasoro import Generator, KIND_D, LieElement, WordSum
+from .virasoro import Generator, KIND_D, WordSum
 
 TensorVector = dict
-
-
-def _add_entry(acc: TensorVector, key, coeff):
-    if not coeff:
-        return
-    s = acc.get(key, ZERO) + coeff
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 class TensorModule:
@@ -78,11 +68,8 @@ class TensorModule:
         out: TensorVector = {}
         for (i, k), vec in grouped.items():
             for mono, c in self.verma.vphi_reduce(i, vec).items():
-                _add_entry(out, (i, mono, k), c)
+                deposit(out, (i, mono, k), c)
         return out
-
-    def is_zero(self, x: TensorVector) -> bool:
-        return not x
 
     # -- action ------------------------------------------------------------------
 
@@ -96,7 +83,7 @@ class TensorModule:
             # first Leibniz term: act on the highest-weight factor
             target, res = self.verma.act_on_vphi(gen, i, vec)
             for mono2, c2 in res.items():
-                _add_entry(out, (target, mono2, k), c2)
+                deposit(out, (target, mono2, k), c2)
             # second Leibniz term: act on the intermediate factor
             if gen.kind == KIND_D:
                 moved = self.intermediate.act_d(
@@ -104,15 +91,7 @@ class TensorModule:
                 )
                 for k2, c2 in moved.items():
                     for mono, c in vec.items():
-                        _add_entry(out, (i, mono, k2), c * c2)
-        return out
-
-    def act_lie(self, x: LieElement, vec: TensorVector) -> TensorVector:
-        out: TensorVector = {}
-        for (degree, kind, j), coeff in x.terms.items():
-            gen = Generator(kind, degree, self.algebra.basis_elem(j))
-            for key, c in self.act(gen, vec).items():
-                _add_entry(out, key, coeff * c)
+                        deposit(out, (i, mono, k2), c * c2)
         return out
 
     def act_words(self, words: WordSum, vec: TensorVector) -> TensorVector:
@@ -123,7 +102,7 @@ class TensorModule:
             for gen in reversed(factors):
                 part = self.act(gen, part)
             for key, c in part.items():
-                _add_entry(out, key, coeff * c)
+                deposit(out, key, coeff * c)
         return out
 
     # -- weights ----------------------------------------------------------------------

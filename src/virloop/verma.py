@@ -16,8 +16,9 @@ equals N(φ).  V(φ) = M(φ)/N(φ) is realized by the complement monomials of
 the radical's pivot set.
 
 One memoized engine, PbwAction, acts with single generators d_n⊗e_j on
-PBW monomials: a generator is commuted past the leading factor with a
-bracket correction, and each (n, j, monomial) maps to a cached sparse
+PBW monomials: a generator is commuted past the leading factor with the
+bracket correction of virasoro.bracket_terms (the package's one copy of
+the bracket), and each (n, j, monomial) maps to a cached sparse
 vector, so equal terms merge at the vector level instead of being
 rewritten word by word.  Gram entries, the action on V(φ) and word sums
 (normal_order) all go through it; each VermaModule owns one cache shared
@@ -32,9 +33,9 @@ from __future__ import annotations
 import itertools
 
 from .coeff_algebra import AlgebraB, BElem
-from .linalg import SpanBasis, nullspace
+from .linalg import SpanBasis, deposit, nullspace
 from .scalars import GaussianRational, ONE, ZERO, scalar
-from .virasoro import Generator, KIND_C, KIND_D, WordSum, central_charge_term
+from .virasoro import Generator, KIND_C, KIND_D, WordSum, bracket_terms
 
 Monomial = tuple
 PbwVector = dict
@@ -94,18 +95,6 @@ def pbw_monomials(dim_b: int, k: int) -> list[Monomial]:
     return sorted(out)
 
 
-def monomial_word(algebra: AlgebraB, mono: Monomial) -> tuple[Generator, ...]:
-    """The monomial as a factor sequence (deepest leftmost, rightmost acts first)."""
-    return tuple(Generator(KIND_D, -depth, algebra.basis_elem(j)) for depth, j in mono)
-
-
-def omega_word(algebra: AlgebraB, mono: Monomial) -> tuple[Generator, ...]:
-    """ω of the monomial: degrees flipped positive, factor order reversed."""
-    return tuple(
-        Generator(KIND_D, depth, algebra.basis_elem(j)) for depth, j in reversed(mono)
-    )
-
-
 class PbwAction:
     """Memoized action of single generators d_n⊗e_j on the PBW basis of M(φ).
 
@@ -145,18 +134,15 @@ class PbwAction:
             out = {}
             for mono2, c2 in self.gen(n, j, rest).items():
                 for mono3, c3 in self.gen(-n1, j1, mono2).items():
-                    _deposit(out, mono3, c2 * c3)
-            # [d_n⊗e_j, d_{-n1}⊗e_j1] = (-n1 - n) d_{n-n1}⊗e_j e_j1 + δ_{n,n1} (n³-n)/12 C⊗e_j e_j1
-            if n != -n1:
-                lie = scalar(-n1 - n)
-                for kdx, c in self._mult[j][j1]:
-                    for mono2, c2 in self.gen(n - n1, kdx, rest).items():
-                        _deposit(out, mono2, lie * c * c2)
-            if n == n1:
-                central = central_charge_term(n)
-                phi_c = sum((c * self.hw.c_values[kdx] for kdx, c in self._mult[j][j1]), ZERO)
-                if central and phi_c:
-                    _deposit(out, rest, central * phi_c)
+                    deposit(out, mono3, c2 * c3)
+            d_terms, c_terms = bracket_terms(n, -n1, self._mult[j][j1])
+            for kdx, c in d_terms:
+                for mono2, c2 in self.gen(n - n1, kdx, rest).items():
+                    deposit(out, mono2, c * c2)
+            if c_terms:
+                phi_c = sum((c * self.hw.c_values[kdx] for kdx, c in c_terms), ZERO)
+                if phi_c:
+                    deposit(out, rest, phi_c)
         self._cache[key] = out
         return out
 
@@ -172,7 +158,7 @@ class PbwAction:
             for mono, c in vec.items():
                 bc = b * c
                 for mono2, c2 in self.gen(g.degree, j, mono).items():
-                    _deposit(out, mono2, bc * c2)
+                    deposit(out, mono2, bc * c2)
         return out
 
     def apply_words(self, words: WordSum, vec: PbwVector) -> PbwVector:
@@ -183,21 +169,13 @@ class PbwAction:
             for g in reversed(factors):
                 part = self.apply(g, part)
             for mono, c in part.items():
-                _deposit(out, mono, coeff * c)
+                deposit(out, mono, coeff * c)
         return out
 
 
 def normal_order(words: WordSum, hw: HighestWeight) -> PbwVector:
     """Value of the word sum on ṽ, as a sparse monomial vector."""
     return PbwAction(hw).apply_words(words, {(): ONE})
-
-
-def _deposit(out: PbwVector, mono: Monomial, coeff: GaussianRational):
-    s = out.get(mono, ZERO) + coeff
-    if s:
-        out[mono] = s
-    else:
-        out.pop(mono, None)
 
 
 class _LevelData:
@@ -319,15 +297,6 @@ class VermaModule:
     def vphi_reduce(self, k: int, vec: PbwVector) -> PbwVector:
         """Canonical representative of vec + N(φ)_k, supported off radical pivots."""
         return self._level(k).radical.reduce(vec)
-
-    def form_value(self, k: int, u: PbwVector, v: PbwVector) -> GaussianRational:
-        lv = self._level(k)
-        acc = ZERO
-        for mu, cu in u.items():
-            row = lv.gram[lv.index[mu]]
-            for mv, cv in v.items():
-                acc = acc + cu * row[lv.index[mv]] * cv
-        return acc
 
     def act_on_vphi(self, gen: Generator, k: int, vec: PbwVector) -> tuple[int, PbwVector]:
         """Apply one generator to a level-k quotient vector.

@@ -10,13 +10,12 @@ Note the (n-m) orientation: [d_1, d_{-1}] = -2 d_0.  Every downstream
 number in the package (Gram entries, probe coefficients) is tied to this
 orientation, so it must not be flipped to the (m-n) variant.
 
-Two element layers coexist:
-
-* LieElement, a sparse Lie-algebra element keyed by (degree, kind, B-basis
-  index) over a fixed coefficient algebra;
-* WordSum, a formal sum of enveloping-algebra words whose factors carry
-  whole B-elements.  Words multiply by concatenation; no relations are
-  applied here.  In a word, the rightmost factor acts first on a vector.
+bracket_terms is the one place that bracket is written: the PBW action
+(verma.PbwAction) commutes generators with it, and the test oracle's Lie
+elements (tests/oracle_lie.py) bracket with it.  Elements of the enveloping
+algebra are WordSum values, formal sums of words whose factors carry whole
+B-elements.  Words multiply by concatenation; no relations are applied
+here.  In a word, the rightmost factor acts first on a vector.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_algebra import AlgebraB, BElem
-from .linalg import vec_add_scaled
-from .scalars import GaussianRational, ONE, ZERO, from_parts, scalar
+from .linalg import deposit
+from .scalars import ZERO, from_parts, scalar
 
 MAX_DEGREE = 10**6
 
@@ -61,142 +60,17 @@ def d_gen(n: int, bcoef: BElem) -> Generator:
     return Generator(KIND_D, n, bcoef)
 
 
-def c_gen(bcoef: BElem) -> Generator:
-    return Generator(KIND_C, 0, bcoef)
+def bracket_terms(m: int, n: int, product) -> tuple[list, list]:
+    """The terms of [d_m⊗b, d_n⊗b'], given bb' as (basis index, coefficient) pairs.
 
-
-def central_charge_term(m: int) -> GaussianRational:
-    """Coefficient of C in [d_m, d_{-m}], namely (m^3 - m)/12."""
-    return from_parts(m**3 - m, 0, 12)
-
-
-class LieElement:
-    """Sparse element of the loop-Virasoro algebra over a fixed B.
-
-    Terms map (degree, kind, B-basis index) to nonzero scalars; the key
-    order gives a canonical listing.  Instances are treated as immutable.
+    Returns (d_terms, c_terms): the coefficients of d_{m+n}⊗e_k and of
+    C⊗e_k as (k, scalar) pairs, (n-m)·c for the first and, when m = -n,
+    (m^3-m)/12·c for the second.  Either list is empty when its factor is 0.
     """
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: AlgebraB, terms=None):
-        self.algebra = algebra
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            degree, kind, bindex = key
-            _check_degree(degree)
-            if kind not in (KIND_D, KIND_C):
-                raise ValueError(f"unknown generator kind {kind!r}")
-            if kind == KIND_C and degree != 0:
-                raise ValueError("central generators carry degree 0")
-            if not 0 <= bindex < algebra.dim:
-                raise ValueError(f"B-basis index {bindex} out of range")
-            coeff = scalar(coeff)
-            if coeff:
-                clean[key] = coeff
-        self.terms = clean
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, algebra: AlgebraB) -> "LieElement":
-        return cls(algebra, {})
-
-    @classmethod
-    def d(cls, algebra: AlgebraB, n: int, bindex: int = 0, coeff=1) -> "LieElement":
-        return cls(algebra, {(n, KIND_D, bindex): scalar(coeff)})
-
-    @classmethod
-    def central(cls, algebra: AlgebraB, bindex: int = 0, coeff=1) -> "LieElement":
-        return cls(algebra, {(0, KIND_C, bindex): scalar(coeff)})
-
-    # -- vector-space operations ----------------------------------------------
-
-    def _require_same_algebra(self, other: "LieElement"):
-        if self.algebra is not other.algebra and self.algebra.table != other.algebra.table:
-            raise ValueError("elements live over different coefficient algebras")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._require_same_algebra(other)
-        acc = dict(self.terms)
-        vec_add_scaled(acc, other.terms, ONE)
-        return LieElement(self.algebra, acc)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._require_same_algebra(other)
-        acc = dict(self.terms)
-        vec_add_scaled(acc, other.terms, -ONE)
-        return LieElement(self.algebra, acc)
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-ONE)
-
-    def scale(self, s) -> "LieElement":
-        s = scalar(s)
-        return LieElement(self.algebra, {k: s * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- Lie structure ---------------------------------------------------------
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        """[self, other] with the (n-m) orientation and central extension."""
-        self._require_same_algebra(other)
-        B = self.algebra
-        acc: dict = {}
-        for (m, kx, i), cx in self.terms.items():
-            if kx == KIND_C:
-                continue
-            for (n, ky, j), cy in other.terms.items():
-                if ky == KIND_C:
-                    continue
-                coeff = cx * cy
-                bb = B.mult(B.basis_elem(i), B.basis_elem(j))
-                if m != n:
-                    f = coeff * scalar(n - m)
-                    for k, bk in enumerate(bb):
-                        if bk:
-                            key = (m + n, KIND_D, k)
-                            s = acc.get(key, ZERO) + f * bk
-                            if s:
-                                acc[key] = s
-                            else:
-                                acc.pop(key, None)
-                if m == -n:
-                    cf = coeff * central_charge_term(m)
-                    if cf:
-                        for k, bk in enumerate(bb):
-                            if bk:
-                                key = (0, KIND_C, k)
-                                s = acc.get(key, ZERO) + cf * bk
-                                if s:
-                                    acc[key] = s
-                                else:
-                                    acc.pop(key, None)
-        return LieElement(self.algebra, acc)
-
-    # -- conversion and display --------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (degree, kind, j), coeff in self.sorted_terms():
-            sym = f"d[{degree}]" if kind == KIND_D else "C"
-            parts.append(f"({coeff})*{sym}*e{j}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    d_terms = [(k, (n - m) * c) for k, c in product] if m != n else []
+    central = from_parts(m**3 - m, 0, 12) if m == -n else ZERO
+    c_terms = [(k, central * c) for k, c in product] if central else []
+    return d_terms, c_terms
 
 
 class WordSum:
@@ -221,15 +95,7 @@ class WordSum:
         return cls(algebra, {(gen,): scalar(coeff)})
 
     def add_word(self, factors, coeff):
-        coeff = scalar(coeff)
-        if not coeff:
-            return
-        factors = tuple(factors)
-        s = self.words.get(factors, ZERO) + coeff
-        if s:
-            self.words[factors] = s
-        else:
-            self.words.pop(factors, None)
+        deposit(self.words, tuple(factors), scalar(coeff))
 
     def __add__(self, other: "WordSum") -> "WordSum":
         out = WordSum(self.algebra, dict(self.words))

@@ -9,14 +9,20 @@ use it at small depths only.
 Rules: strip central factors, kill words whose rightmost factor raises,
 evaluate rightmost degree-zero factors, and swap out-of-order adjacent
 pairs with a bracket correction.  Each step shortens the word or strictly
-reduces its inversion count, so the rewrite terminates.
+reduces its inversion count, so the rewrite terminates.  The bracket
+correction is written here, not taken from `virasoro.bracket_terms`, so
+the comparison checks that function as well.
+
+`monomial_word` and `omega_word` spell a PBW monomial and its image
+under ω as words, and `form_value` pairs two vectors through a module's
+Gram matrix; the tests build contravariance checks from them.
 """
 
 import itertools
 
-from virloop.scalars import ONE, ZERO, scalar
-from virloop.virasoro import Generator, KIND_C, KIND_D, WordSum, central_charge_term
-from virloop.verma import monomial_word, omega_word, pbw_monomials
+from virloop.scalars import ONE, ZERO, from_parts, scalar
+from virloop.virasoro import Generator, KIND_C, KIND_D, WordSum
+from virloop.verma import pbw_monomials
 
 
 def worklist_normal_order(words, hw):
@@ -62,7 +68,7 @@ def worklist_normal_order(words, hw):
             mid = Generator(KIND_D, x.degree + y.degree, bb)
             work.append((factors[:i] + (mid,) + factors[i + 2 :], coeff * lie_coeff))
             if x.degree == -y.degree:
-                cterm = central_charge_term(x.degree)
+                cterm = from_parts(x.degree**3 - x.degree, 0, 12)
                 if cterm:
                     midc = Generator(KIND_C, 0, bb)
                     work.append(
@@ -96,6 +102,25 @@ def _deposit_negative_word(out, algebra, factors, coeff):
             sorted(((d, j) for d, (j, _) in zip(depths, pick)), key=lambda p: (-p[0], p[1]))
         )
         _deposit(out, mono, c)
+
+
+def monomial_word(algebra, mono):
+    """The monomial as a factor sequence (deepest leftmost, rightmost acts first)."""
+    return tuple(Generator(KIND_D, -depth, algebra.basis_elem(j)) for depth, j in mono)
+
+
+def omega_word(algebra, mono):
+    """ω of the monomial: degrees flipped positive, factor order reversed."""
+    return tuple(Generator(KIND_D, depth, algebra.basis_elem(j)) for depth, j in reversed(mono))
+
+
+def form_value(vm, k, u, v):
+    """The contravariant form of two level-k vectors, read from the module's Gram matrix."""
+    gram, index = vm.gram(k), vm.monomial_index(k)
+    return sum(
+        (cu * gram[index[mu]][index[mv]] * cv for mu, cu in u.items() for mv, cv in v.items()),
+        ZERO,
+    )
 
 
 def worklist_gram(hw, k):

@@ -1014,8 +1014,30 @@ INVALID_PROBE_PAIRS = [
 ]
 
 
+# inputs that only the built modules can refuse, so execute_probe checks them before the engine runs
+MODULE_REFUSED_PAIRS = [
+    (
+        ["cor31", *_SPLIT_FLAGS, "--phi-d0", "1", "0", "--psi", "0", "1", "--depth", "1",
+         "--window", "2", "2", "--b", "e1"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["1", "0"]}, psi=["0", "1"], depth=1, window=[2, 2],
+             probes=[{"kind": "ladder", "b": "e1"}]),
+        "window: probe kind 'ladder' needs at least two indices",
+    ),
+    (
+        # alpha = beta = 0 realizes both modules on Z - {0}, so the live one has no v_0
+        ["psi-sep", "--algebra", "split 2", "--phi-d0", "1", "0", "--psi1", "1", "0",
+         "--psi2", "0", "1", "--alpha", "0", "--beta", "0", "--k", "0"],
+        {"algebra": "split 2", "phi": {"d0": ["1", "0"]}, "psi": ["1", "0"], "alpha": "0",
+         "beta": "0", "depth": 1, "probes": [{"kind": "psi-separation", "psi2": ["0", "1"], "k": 0}]},
+        "k: index 0 lies outside the live module's basis",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, config, message", INVALID_PROBE_PAIRS, ids=[a[0] for a, _, _ in INVALID_PROBE_PAIRS]
+    "argv, config, message",
+    INVALID_PROBE_PAIRS + MODULE_REFUSED_PAIRS,
+    ids=[a[0] for a, _, _ in INVALID_PROBE_PAIRS] + ["cor31-single-index", "psi-sep-k-off-basis"],
 )
 def test_cli_and_run_refuse_the_same_probe_input(argv, config, message, tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
@@ -1026,6 +1048,21 @@ def test_cli_and_run_refuse_the_same_probe_input(argv, config, message, tmp_path
     assert main(["run", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_cli_engine_value_error_exits_4(monkeypatch, capsys):
+    # exit 3 is reserved for invalid input, so a ValueError raised inside the engine is internal
+    import virloop.config as config
+
+    def broken_engine(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(config, "VermaModule", broken_engine)
+    assert main(["verma", "--phi-d0", "1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback (most recent call last)" in captured.err
+    assert "ValueError: engine fault" in captured.err
 
 
 def test_ladder_probe_leaves_the_shared_module_unchanged():

@@ -57,10 +57,10 @@ def test_powers():
 def test_is_integer_and_is_zero():
     assert gr(5).is_integer()
     assert gr(-3).is_integer()
-    assert ZERO.is_zero() and ZERO.is_integer()
+    assert not ZERO and ZERO.is_integer()
     assert not gr(Fraction(1, 2)).is_integer()
     assert not gr(1, 1).is_integer()
-    assert not ONE.is_zero()
+    assert ONE
 
 
 def test_parse_round_trip_examples():
@@ -96,13 +96,13 @@ def test_field_axioms(a, b, c):
 @given(gaussians)
 def test_inverses(a):
     assert a + (-a) == ZERO
-    if not a.is_zero():
+    if a:
         assert a * (ONE / a) == ONE
 
 
 @given(gaussians)
 def test_conjugation_norm(a):
-    n = a * a.conjugate()
+    n = a * GaussianRational(a.re, -a.im)
     assert n.im == 0
     assert n.re >= 0
 
@@ -183,7 +183,7 @@ def assert_same(x, o):
     assert (x.re, x.im) == (o.re, o.im)
     assert x == GaussianRational(o.re, o.im)
     assert str(x) == str(o) and repr(x) == repr(o)
-    assert bool(x) == bool(o) and x.is_zero() == o.is_zero()
+    assert bool(x) == bool(o)
     assert x.is_integer() == o.is_integer()
     if not o.im:
         assert hash(x) == hash(o.re)
@@ -223,7 +223,7 @@ def test_every_operation_equals_fraction_pair_oracle(x_parts, y):
     assert (x == y) == (ox == oy) and (y == x) == (oy == ox)
     assert (x != y) == (ox != oy)
     assert_same(-x, -ox)
-    assert_same(x.conjugate(), ox.conjugate())
+    assert_same(GaussianRational(x.re, -x.im), ox.conjugate())
     for n in range(-3, 4):
         assert_same_outcome(operator.pow, (x, n), (ox, n))
     (x0, m), (ox0, om) = normalize_alpha(x), oracle.normalize_alpha(ox)

@@ -69,22 +69,9 @@ def test_src_has_no_unused_imports(path):
 # Definitions nothing in src/virloop calls, kept because something outside it reads them.
 READ_OUTSIDE_SRC = {
     "_Parser.error": "argparse, on a malformed argument",
-    "GaussianRational.conjugate": "tests/test_scalars.py against tests/oracle_scalars.py",
     "GaussianRational.im": "bench/reference.py, bench/tracing.py, tests/test_scalars.py",
     "GaussianRational.re": "bench/reference.py, bench/tracing.py, tests/test_scalars.py",
-    "IntModule.act_lie": "tests/test_acceptance.py (criterion 2), tests/test_intermediate.py",
-    "IntModule.basis_vector": "tests/test_acceptance.py (criterion 2), tests/test_intermediate.py",
-    "IntModule.submodule_closure": "tests/test_acceptance.py (criterion 2), the closure oracle",
-    "LieElement.bracket": "tests/test_acceptance.py (criteria 1 and 2), tests/test_virasoro.py",
-    "LieElement.central": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
-    "LieElement.d": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
-    "LieElement.zero": "tests/test_acceptance.py (criterion 1), tests/test_virasoro.py",
-    "TensorModule.act_lie": "tests/test_tensor_product.py",
-    "VermaModule.form_value": "tests/test_acceptance.py (criterion 3), tests/test_verma.py",
-    "c_gen": "tests/test_verma.py, tests/test_tensor_product.py, tests/test_intermediate.py",
-    "monomial_word": "tests/test_acceptance.py, tests/oracle_worklist.py",
-    "normal_order": "tests/test_acceptance.py, tests/oracle_worklist.py, bench/tracing.py",
-    "omega_word": "tests/test_verma.py, tests/oracle_worklist.py",
+    "normal_order": "bench/tracing.py, tests/test_acceptance.py, tests/test_verma.py",
     "replay_certificate": "tests/test_probes.py, bench/workloads.py, bench/tracing.py",
 }
 

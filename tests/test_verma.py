@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracle_rref
 from oracle_dense import DenseOracle, oracle_monomials
-from oracle_worklist import worklist_act, worklist_gram
+from oracle_worklist import form_value, monomial_word, omega_word, worklist_act, worklist_gram
 from virloop.coeff_algebra import builtin_algebra, trivial_algebra, truncated_poly
 from virloop import linalg
 from virloop.linalg import SpanBasis, nullspace
@@ -26,12 +26,10 @@ from virloop.verma import (
     DepthExceededError,
     HighestWeight,
     VermaModule,
-    monomial_word,
     normal_order,
-    omega_word,
     pbw_monomials,
 )
-from virloop.virasoro import Generator, WordSum, c_gen, d_gen
+from virloop.virasoro import KIND_C, Generator, WordSum, d_gen
 
 TRIV = trivial_algebra()
 
@@ -76,7 +74,7 @@ def test_normal_order_central_term():
 
 def test_normal_order_central_factor_strips():
     hw = hw_c(7, 3)
-    gens = (c_gen(TRIV.unit), d_gen(-1, TRIV.unit))
+    gens = (Generator(KIND_C, 0, TRIV.unit), d_gen(-1, TRIV.unit))
     got = normal_order(WordSum(TRIV, {gens: ONE}), hw)
     assert got == {((1, 0),): scalar(3)}
 
@@ -188,8 +186,8 @@ def test_gram_symmetry_and_contravariance():
                         ),
                         hw,
                     )
-                    lhs = vm.form_value(k + n, lowered, {v: ONE})
-                    rhs = vm.form_value(k, uvec, raised)
+                    lhs = form_value(vm, k + n, lowered, {v: ONE})
+                    rhs = form_value(vm, k, uvec, raised)
                     assert lhs == rhs
 
 
@@ -267,7 +265,7 @@ def test_act_on_vphi_highest_weight_and_central():
     vm = VermaModule(TRIV, hw_c("1/2", "1/3"), 2)
     target, res = vm.act_on_vphi(d_gen(1, TRIV.unit), 0, {(): ONE})
     assert res == {}
-    target, res = vm.act_on_vphi(c_gen(TRIV.unit), 2, {((1, 0), (1, 0)): ONE})
+    target, res = vm.act_on_vphi(Generator(KIND_C, 0, TRIV.unit), 2, {((1, 0), (1, 0)): ONE})
     assert target == 2
     want = vm.vphi_reduce(2, {((1, 0), (1, 0)): scalar("1/3")})
     assert res == want
@@ -308,7 +306,7 @@ def test_engine_matches_worklist_oracle(name, depth, d0, c):
     vm = VermaModule(algebra, hw, depth)
     for k in range(depth + 1):
         assert vm.gram(k) == worklist_gram(hw, k), k
-    gens = [c_gen(algebra.unit), d_gen(-1, algebra.unit)]
+    gens = [Generator(KIND_C, 0, algebra.unit), d_gen(-1, algebra.unit)]
     gens += [
         d_gen(n, algebra.basis_elem(j))
         for n in range(-depth, depth + 1)

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle_lie import LieElement
 from virloop.coeff_algebra import trivial_algebra, truncated_poly
 from virloop.scalars import ONE, scalar
-from virloop.virasoro import (
-    Generator,
-    LieElement,
-    WordSum,
-    central_charge_term,
-    d_gen,
-)
+from virloop.virasoro import Generator, WordSum, bracket_terms, d_gen
 
 TRIV = trivial_algebra()
 TPOLY2 = truncated_poly(2)
@@ -36,9 +31,9 @@ def test_bracket_d2_dm2_central_term():
     got = D(2).bracket(D(-2))
     want = D(0, c=-4) + LieElement.central(TRIV, coeff="1/2")
     assert got == want
-    assert central_charge_term(2) == scalar("1/2")
-    assert central_charge_term(1) == scalar(0)
-    assert central_charge_term(-2) == scalar("-1/2")
+    assert bracket_terms(2, -2, [(0, ONE)]) == ([(0, scalar(-4))], [(0, scalar("1/2"))])
+    assert bracket_terms(1, -1, [(0, ONE)]) == ([(0, scalar(-2))], [])
+    assert bracket_terms(-2, 2, [(0, ONE)])[1] == [(0, scalar("-1/2"))]
 
 
 def test_central_generators_commute():
