@@ -252,7 +252,7 @@ def _cmd_tensor(args) -> int:
     cfg = _spec(args)
     _, tensor = build_modules(cfg)
     dims = weight_space_dims(tensor, cfg.window)
-    generated = tensor.generation_check(args.depth, *cfg.window)
+    generated = tensor.generation_check(*cfg.window)
     _emit(
         {
             "alpha": str(cfg.alpha),

@@ -52,13 +52,6 @@ class AlgebraB:
             raise ValueError(f"expected {self.dim} coordinates, got {len(out)}")
         return out
 
-    def add(self, a: BElem, b: BElem) -> BElem:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def scale(self, s, a: BElem) -> BElem:
-        s = scalar(s)
-        return tuple(s * x for x in a)
-
     def mult(self, a: BElem, b: BElem) -> BElem:
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("element dimension mismatch")
@@ -151,8 +144,6 @@ class CharacterPsi:
             if c and v:
                 acc = acc + c * v
         return acc
-
-    __call__ = of
 
     def check(self) -> bool:
         """True iff psi is multiplicative on all basis pairs and psi(1) = 1."""

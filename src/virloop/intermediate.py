@@ -71,18 +71,7 @@ class IntModule:
         self.params = params
         self.index_set = index_set
 
-    # -- vectors ----------------------------------------------------------------
-
-    def vector(self, entries) -> IntVector:
-        out = {}
-        for k, c in dict(entries).items():
-            c = scalar(c)
-            if not c:
-                continue
-            if self.index_set == INDEX_NONZERO and k == 0:
-                raise ValueError("index 0 is not part of this module's basis")
-            out[int(k)] = c
-        return out
+    # -- basis ------------------------------------------------------------------
 
     def allowed_index(self, k: int) -> bool:
         return self.index_set == INDEX_ALL or k != 0

@@ -197,15 +197,15 @@ class ProbeRun:
         self.params = params
         self.tensors = tensors
         self.applications = []
-        # id(op) -> (op, serialize_words(op)); holding op keeps its id from being reused
+        # keyed on the operator itself: a WordSum hashes by identity
         self._serialized = {}
 
     def _words(self, op: WordSum) -> list:
         """op serialized once per run; applications of one operator share the list."""
-        entry = self._serialized.get(id(op))
-        if entry is None:
-            entry = self._serialized[id(op)] = (op, serialize_words(op))
-        return entry[1]
+        words = self._serialized.get(op)
+        if words is None:
+            words = self._serialized[op] = serialize_words(op)
+        return words
 
     def apply(self, op: WordSum, x: TensorVector, module: int = 1) -> TensorVector:
         """Act with op on x in the named module, record the application, return the output."""
@@ -721,7 +721,9 @@ def psi_separation(
     module's computed depth) that d_l (x) b annihilates every basis vector
     of the killed module's truncation over `window` while sending the other
     module's pure tensor v_phi (x) v_k to a nonzero multiple of
-    v_phi (x) v_{k+l}.
+    v_phi (x) v_{k+l}.  With beta = 0 and alpha + k = 0 on the other module
+    every d_l (x) b kills v_phi (x) v_k, so no degree can show that and the
+    certificate is hypothesis-unsatisfiable.
     """
     algebra = tensor1.algebra
     psi1 = tensor1.intermediate.params.psi
@@ -749,6 +751,12 @@ def psi_separation(
         k = 0 if live.intermediate.allowed_index(0) else 1
     if not live.intermediate.allowed_index(k):
         raise ValueError(f"index {k} lies outside the live module's basis")
+
+    if not beta and not (alpha + k):
+        return run.unsatisfiable([
+            f"beta = 0 and alpha + k = 0 at seed index k = {k} on module {live_tag}:"
+            " d_l (x) b kills v_phi (x) v_k there for every l"
+        ])
 
     depth = killed.verma.depth
     ls = []
@@ -823,8 +831,8 @@ def iso_poly_coeffs(A, b1, Q, b2) -> tuple[GaussianRational, ...]:
     return c_mnsum, c_lin, c_mn, c_sq, c_const
 
 
-def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) -> bool:
-    """Certify the grouped form of the intertwining constraint on a grid.
+def iso_poly_identity_check(A, b1, Q, b2, perturbed: bool = False) -> bool:
+    """Certify the grouped form of the intertwining constraint on the 4x4 grid.
 
     At each grid point the difference of the two triple products
 
@@ -839,31 +847,27 @@ def iso_poly_identity_check(A, b1, Q, b2, grid=None, perturbed: bool = False) ->
     coefficient: rhs - lhs expands with mn(m+n) coefficient b1 b2 (b2 - b1),
     the mirror of c_mnsum, while the other four coefficients enter directly.
     The vanishing conditions c_* = 0 are insensitive to that orientation.
-    Both sides have degree <= 3 in each of m and n, so agreement on a 4x4
-    integer grid certifies the polynomial identity; `perturbed` shifts
+    Both sides have degree <= 3 in each of m and n, so agreement on the grid
+    1 <= m, n <= 4 certifies the polynomial identity; `perturbed` shifts
     c_const by 1 as an identity-breaking control.
     """
     A, b1, Q, b2 = map(scalar, (A, b1, Q, b2))
-    if grid is None:
-        grid = [(m, n) for m in range(1, 5) for n in range(1, 5)]
-    pts = {(int(m), int(n)) for m, n in grid}
-    if len(pts) < 16:
-        raise ValueError("grid must contain at least 16 distinct integer pairs")
     c_mnsum, c_lin, c_mn, c_sq, c_const = iso_poly_coeffs(A, b1, Q, b2)
     if perturbed:
         c_const = c_const + ONE
-    for m, n in sorted(pts):
-        lhs = (A + n + m * b1) * (A + n * b1) * (Q + (m + n) * b2)
-        rhs = (A + (m + n) * b1) * (Q + n * b2) * (Q + n + m * b2)
-        grouped = (
-            c_lin * (m + n)
-            + c_mn * (m * n)
-            + c_sq * (m * m + n * n)
-            + c_const
-            - c_mnsum * (m * n * (m + n))
-        )
-        if rhs - lhs != grouped:
-            return False
+    for m in range(1, 5):
+        for n in range(1, 5):
+            lhs = (A + n + m * b1) * (A + n * b1) * (Q + (m + n) * b2)
+            rhs = (A + (m + n) * b1) * (Q + n * b2) * (Q + n + m * b2)
+            grouped = (
+                c_lin * (m + n)
+                + c_mn * (m * n)
+                + c_sq * (m * m + n * n)
+                + c_const
+                - c_mnsum * (m * n * (m + n))
+            )
+            if rhs - lhs != grouped:
+                return False
     return True
 
 

@@ -152,21 +152,6 @@ class GaussianRational:
             return NotImplemented
         return _quotient(t, self._t)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("only integer powers")
-        base = self
-        if n < 0:
-            base = ONE / base
-            n = -n
-        out = ONE
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- predicates --------------------------------------------------------
 
     def is_integer(self) -> bool:
@@ -269,7 +254,6 @@ def _imag_str(b: int, d: int) -> str:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 _FRACTION = r"\d+(?:/\d+)?"
 _TERM = _re.compile(

@@ -74,7 +74,6 @@ class TensorModule:
     # -- action ------------------------------------------------------------------
 
     def act(self, gen: Generator, x: TensorVector) -> TensorVector:
-        psi = self.intermediate.params.psi
         out: TensorVector = {}
         by_level_k: dict = {}
         for (i, mono, k), c in x.items():
@@ -85,13 +84,9 @@ class TensorModule:
             for mono2, c2 in res.items():
                 deposit(out, (target, mono2, k), c2)
             # second Leibniz term: act on the intermediate factor
-            if gen.kind == KIND_D:
-                moved = self.intermediate.act_d(
-                    gen.degree, psi.of(gen.bcoef), {k: ONE}
-                )
-                for k2, c2 in moved.items():
-                    for mono, c in vec.items():
-                        deposit(out, (i, mono, k2), c * c2)
+            for k2, c2 in self.intermediate.act(gen, {k: ONE}).items():
+                for mono, c in vec.items():
+                    deposit(out, (i, mono, k2), c * c2)
         return out
 
     def act_words(self, words: WordSum, vec: TensorVector) -> TensorVector:
@@ -107,27 +102,26 @@ class TensorModule:
 
     # -- weights ----------------------------------------------------------------------
 
-    def weight_space_dim(self, n: int, depth: int | None = None) -> int:
-        """Truncated dimension of the offset-n weight space."""
-        depth = self.verma.depth if depth is None else depth
+    def weight_space_dim(self, n: int) -> int:
+        """Dimension of the offset-n weight space, truncated at the Verma depth."""
         total = 0
-        for i in range(depth + 1):
+        for i in range(self.verma.depth + 1):
             if self.intermediate.allowed_index(n + i):
                 total += self.verma.vphi_dim(i)
         return total
 
     # -- generation oracle -------------------------------------------------------------
 
-    def generation_check(self, depth: int, kmin: int, kmax: int) -> bool:
-        """Span-generation test on the truncation.
+    def generation_check(self, kmin: int, kmax: int) -> bool:
+        """Span-generation test on the truncation at the Verma depth D.
 
-        Verifies that every basis vector (i ≤ depth, monomial, k in the
-        window) lies in the span of negative-degree words of total depth
-        ≤ depth applied to the seeds v_φ⊗v_m.  A depth-D' word applied to
-        the seed v_φ⊗v_m has components (i, k) with k = m - (D' - i), so
-        isolating a target at index k needs companion pure tensors with
-        indices down to k - depth; seeds with m in [kmin-depth, kmax+depth]
-        cover every such chain.
+        Verifies that every basis vector (level i ≤ D, quotient monomial,
+        index k in [kmin, kmax]) lies in the span of the negative-degree
+        words of total degree ≤ D applied to the seeds v_φ⊗v_m.  A
+        degree-D' word applied to v_φ⊗v_m has components (i, k) with
+        k = m - (D' - i), so isolating a target at index k needs companion
+        pure tensors with indices down to k - D; seeds with m in
+        [kmin-D, kmax+D] cover every such chain.
 
         The span is built in budget layers: layer b is a basis of the span
         of all words of total degree exactly b applied to the seeds, which
@@ -135,10 +129,7 @@ class TensorModule:
         Every layer is expanded in full, so an image already in the span of
         lower layers still carries its own remaining budget.
         """
-        if depth > self.verma.depth:
-            raise DepthExceededError(
-                f"generation check at depth {depth} needs Verma depth ≥ {depth}"
-            )
+        depth = self.verma.depth
         layers = [[
             self.seed(m)
             for m in range(kmin - depth, kmax + depth + 1)

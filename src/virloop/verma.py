@@ -44,7 +44,8 @@ PbwVector = dict
 class DepthExceededError(Exception):
     """Raised when an action needs a level beyond the computed depth.
 
-    Callers can recover with extend_depth and retry.
+    A module's depth is fixed when it is built; going deeper means building
+    a new module.
     """
 
 
@@ -161,21 +162,18 @@ class PbwAction:
                     deposit(out, mono2, bc * c2)
         return out
 
-    def apply_words(self, words: WordSum, vec: PbwVector) -> PbwVector:
-        """The word sum applied to vec, each word's factors right to left."""
-        out: PbwVector = {}
-        for factors, coeff in words.words.items():
-            part = vec
-            for g in reversed(factors):
-                part = self.apply(g, part)
-            for mono, c in part.items():
-                deposit(out, mono, coeff * c)
-        return out
-
 
 def normal_order(words: WordSum, hw: HighestWeight) -> PbwVector:
-    """Value of the word sum on ṽ, as a sparse monomial vector."""
-    return PbwAction(hw).apply_words(words, {(): ONE})
+    """Value of the word sum on ṽ, as a sparse monomial vector; each word acts right to left."""
+    action = PbwAction(hw)
+    out: PbwVector = {}
+    for factors, coeff in words.words.items():
+        part = {(): ONE}
+        for g in reversed(factors):
+            part = action.apply(g, part)
+        for mono, c in part.items():
+            deposit(out, mono, coeff * c)
+    return out
 
 
 class _LevelData:
@@ -192,10 +190,10 @@ class _LevelData:
 class VermaModule:
     """M(φ) and V(φ) = M(φ)/N(φ), computed level by level up to a depth bound.
 
-    Levels are built in order, because each Gram matrix reads the rows of
-    lower levels, and every level shares one PbwAction cache.  Level data
-    (Gram matrix, radical, quotient basis) is immutable once built;
-    extend_depth only appends levels.
+    All levels 0..depth are built by the constructor, in order, because
+    each Gram matrix reads the rows of lower levels, and every level shares
+    one PbwAction cache.  Level data (Gram matrix, radical, quotient basis)
+    is immutable once built, and the depth never changes.
     """
 
     def __init__(self, algebra: AlgebraB, hw: HighestWeight, depth: int):
@@ -203,10 +201,11 @@ class VermaModule:
             raise ValueError("depth must be non-negative")
         self.algebra = algebra
         self.hw = hw
-        self.depth = -1
-        self._levels: list[_LevelData] = []
         self._action = PbwAction(hw)
-        self.extend_depth(depth)
+        self._levels: list[_LevelData] = []
+        for k in range(depth + 1):
+            self._levels.append(self._compute_level(k))
+        self.depth = depth
 
     # -- level construction -------------------------------------------------------
 
@@ -247,11 +246,6 @@ class VermaModule:
         pivots = radical.pivots()
         quotient = [m for m in monos if m not in pivots]
         return _LevelData(monos, index, gram, radical, quotient)
-
-    def extend_depth(self, new_depth: int):
-        for k in range(self.depth + 1, new_depth + 1):
-            self._levels.append(self._compute_level(k))
-            self.depth = k
 
     def _level(self, k: int) -> _LevelData:
         if k < 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .coeff_algebra import AlgebraB, BElem
 from .linalg import deposit
-from .scalars import ZERO, from_parts, scalar
+from .scalars import ONE, ZERO, from_parts, scalar
 
 MAX_DEGREE = 10**6
 
@@ -91,17 +91,11 @@ class WordSum:
                 self.add_word(factors, coeff)
 
     @classmethod
-    def single(cls, algebra: AlgebraB, gen: Generator, coeff=1) -> "WordSum":
-        return cls(algebra, {(gen,): scalar(coeff)})
+    def single(cls, algebra: AlgebraB, gen: Generator) -> "WordSum":
+        return cls(algebra, {(gen,): ONE})
 
     def add_word(self, factors, coeff):
         deposit(self.words, tuple(factors), scalar(coeff))
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        out = WordSum(self.algebra, dict(self.words))
-        for factors, coeff in other.words.items():
-            out.add_word(factors, coeff)
-        return out
 
     def __sub__(self, other: "WordSum") -> "WordSum":
         out = WordSum(self.algebra, dict(self.words))
@@ -124,26 +118,5 @@ class WordSum:
                 out.add_word(fx + fy, cx * cy)
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WordSum) and self.words == other.words
-
     def __bool__(self) -> bool:
         return bool(self.words)
-
-    def __str__(self):
-        if not self.words:
-            return "0"
-        parts = []
-        for factors, coeff in self.words.items():
-            if factors:
-                syms = ".".join(
-                    (f"d[{g.degree}]" if g.kind == KIND_D else "C")
-                    + f"⊗{self.algebra.format_elem(g.bcoef)}"
-                    for g in factors
-                )
-            else:
-                syms = "1"
-            parts.append(f"({coeff})*{syms}")
-        return " + ".join(parts)
-
-    __repr__ = __str__

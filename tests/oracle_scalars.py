@@ -114,21 +114,6 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("only integer powers")
-        base = self
-        if n < 0:
-            base = ONE / base
-            n = -n
-        out = ONE
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -160,7 +145,6 @@ def _imag_str(im: Fraction) -> str:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 _FRACTION = r"\d+(?:/\d+)?"
 _TERM = _re.compile(

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -976,7 +978,7 @@ def test_generation_check_fails_without_the_degree_minus_one_images(monkeypatch,
             "--depth", "2", "--window", "-3", "3"]
     _, tensor = build_modules(load_config({"algebra": "trivial", "phi": {"d0": ["1"]},
                                            "psi": ["1"], "alpha": "1/2", "beta": "1/3", "depth": 2}))
-    assert tensor.generation_check(2, -3, 3) is False
+    assert tensor.generation_check(-3, 3) is False
     assert main(argv) == EXIT_FAIL
     assert json.loads(capsys.readouterr().out)["generated_by_pure_tensors"] is False
 
@@ -1048,6 +1050,34 @@ def test_cli_and_run_refuse_the_same_probe_input(argv, config, message, tmp_path
     assert main(["run", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def _cli_in_subprocess(argv, timeout=20):
+    """Run the CLI in a fresh interpreter, so a hang fails the test instead of stalling it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "virloop.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_psi_sep_with_a_dead_seed_is_unsatisfiable(tmp_path):
+    # beta = 0 and alpha + k = 0: d_l (x) b kills the live seed v_phi (x) v_k at every l,
+    # so no degree can show non-annihilation (the degree scan never ended before)
+    argv = ["psi-sep", "--algebra", "split 2", "--phi-d0", "1", "0", "--psi1", "1", "0",
+            "--psi2", "0", "1", "--alpha", "2", "--beta", "0", "--k", "-2"]
+    config = {"algebra": "split 2", "phi": {"d0": ["1", "0"]}, "psi": ["1", "0"], "alpha": "2",
+              "beta": "0", "probes": [{"kind": "psi-separation", "psi2": ["0", "1"], "k": -2}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    cli = _cli_in_subprocess(argv)
+    assert cli.returncode == EXIT_UNSATISFIABLE, cli.stderr
+    cert = json.loads(cli.stdout)
+    assert cert["status"] == "hypothesis-unsatisfiable" and cert["applications"] == []
+    assert any("kills v_phi (x) v_k there for every l" in r for r in cert["reasons"])
+    run = _cli_in_subprocess(["run", str(path)])
+    assert run.returncode == EXIT_UNSATISFIABLE, run.stderr
+    assert json.loads(run.stdout)["results"]["probes"][0]["reasons"] == cert["reasons"]
 
 
 def test_cli_engine_value_error_exits_4(monkeypatch, capsys):

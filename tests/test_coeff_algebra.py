@@ -152,7 +152,7 @@ def test_ideal_of_unit_is_everything():
 
 def test_ideal_is_multiplication_closed():
     B = cyclic_group_algebra(4)
-    b = B.add(B.basis_elem(0), B.scale(-1, B.basis_elem(2)))
+    b = B.elem([1, 0, -1, 0])
     ideal = B.ideal_generated(b)
     from virloop.linalg import SpanBasis
 

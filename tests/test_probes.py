@@ -434,16 +434,6 @@ def test_iso_identity_check_true_and_perturbed():
         assert not iso_poly_identity_check(A, b1, Q, b2, perturbed=True)
 
 
-def test_iso_identity_custom_grid():
-    grid = [(m, n) for m in (-3, -1, 2, 5) for n in (-2, 1, 4, 7)]
-    assert iso_poly_identity_check(Fraction(2, 7), 5, Fraction(-3, 4), 2, grid=grid)
-
-
-def test_iso_identity_grid_validation():
-    with pytest.raises(ValueError):
-        iso_poly_identity_check(1, 2, 3, 4, grid=[(1, 1), (1, 2)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     A=st.fractions(min_value=-4, max_value=4, max_denominator=8),

@@ -1,7 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -157,6 +157,35 @@ main()
 volume(3)
 '''
     assert dead_definitions([first, second]) == ["Shape.orphan", "Shape.size", "countdown"]
+    # the blind spot: a read of .add spares every class that defines add
+    third = '''
+class Bag:
+    def add(self, x):
+        return x
+
+
+class Tally:
+    def add(self, x):
+        return x
+
+    def total(self):
+        return 0
+
+
+def fill(bag):
+    return bag.add(1), Tally().total()
+
+
+fill(Bag())
+'''
+    assert dead_definitions([third]) == []
+    assert shared_method_problems([third], {}) == ["Bag.add", "Tally.add"]
+    assert shared_method_problems([third], {"add": {"Bag": "fill"}}) == ["Tally.add"]
+    # a reader must exist and read .add; a listed name that is no longer shared is stale
+    assert shared_method_problems([third], {"add": {"Bag": "fill", "Tally": "Tally.total"}}) == [
+        "Tally.add"
+    ]
+    assert shared_method_problems([first], {"area": {"Shape": "main"}}) == ["Shape.area"]
 
 
 def test_src_defines_nothing_that_nothing_reads():
@@ -164,6 +193,55 @@ def test_src_defines_nothing_that_nothing_reads():
     dead = dead_definitions(sources)
     assert sorted(set(dead) - set(READ_OUTSIDE_SRC)) == []
     assert set(READ_OUTSIDE_SRC) <= set(dead), "an allowlisted name is read in src or gone"
+
+
+# Public method names that more than one src class defines, each class mapped to the src
+# definition that calls its method.  dead_definitions counts a read of `.name` as a read of
+# every class defining name, so a namesake's call would hide a dead method here.
+SHARED_METHOD_READERS = {
+    "act": {"IntModule": "TensorModule.act", "TensorModule": "TensorModule.act_words"},
+    "apply": {"PbwAction": "normal_order", "ProbeRun": "endo_probe"},
+    "to_dict": {"IsoSignature": "_cmd_iso_check", "ProbeCertificate": "run_config"},
+}
+
+
+def shared_method_problems(sources: list, readers: dict) -> list:
+    """Classes that share a public method name with another class and lack a reader.
+
+    dead_definitions counts a read of `.name` for every class that defines
+    name, so readers maps each shared name to {class: reader}, where reader
+    is a module-level function or "Class.method" of sources, not the method
+    itself, whose body reads `.name`.  Returns "Class.name" for each class of
+    a shared name with no reader or a bad one, and for each listed class
+    that no longer shares the name.
+    """
+    owners = defaultdict(list)
+    defs = {}
+    for tree in (ast.parse(source) for source in sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{node.name}.{sub.name}"] = sub
+                        if not sub.name.startswith("_"):
+                            owners[sub.name].append(node.name)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    problems = []
+    for name, classes in shared.items():
+        for cls in classes:
+            reader = readers.get(name, {}).get(cls)
+            if reader == f"{cls}.{name}" or reader not in defs or not _reads(defs[reader])["attr", name]:
+                problems.append(f"{cls}.{name}")
+    for name, listed in readers.items():
+        problems.extend(f"{cls}.{name}" for cls in listed if cls not in shared.get(name, ()))
+    return sorted(problems)
+
+
+def test_src_shared_method_names_each_have_a_reader():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert shared_method_problems(sources, SHARED_METHOD_READERS) == []
 
 
 # The only module-level definitions in src/virloop that may call json.dumps or json.dump,

@@ -73,8 +73,7 @@ def test_depth_guard_is_hard():
     x = tm.act(d_gen(-1, TRIV.unit), tm.seed(0))
     with pytest.raises(DepthExceededError):
         tm.act(d_gen(-1, TRIV.unit), x)
-    tm.verma.extend_depth(2)
-    assert tm.act(d_gen(-1, TRIV.unit), x)
+    assert make_module(depth=2).act(d_gen(-1, TRIV.unit), x)
 
 
 def test_weight_bookkeeping_under_d0():
@@ -99,14 +98,11 @@ def test_action_shifts_weight_by_degree():
 
 
 def test_weight_space_dim_counts_levels():
-    tm = make_module(h="1", c="0", depth=3)
+    tms = [make_module(h="1", c="0", depth=d) for d in range(4)]
     # generic φ here: no radical through depth 3, so dims are partition counts
-    assert tm.weight_space_dim(0, 0) == 1
-    assert tm.weight_space_dim(0, 1) == 2
-    assert tm.weight_space_dim(0, 2) == 4
-    assert tm.weight_space_dim(0, 3) == 7
+    assert [tm.weight_space_dim(0) for tm in tms] == [1, 2, 4, 7]
     # strictly increasing in depth whenever a level is nonzero
-    dims = [tm.weight_space_dim(5, d) for d in range(4)]
+    dims = [tm.weight_space_dim(5) for tm in tms]
     assert all(a < b for a, b in zip(dims, dims[1:]))
 
 
@@ -116,7 +112,7 @@ def test_weight_space_dim_respects_excluded_index():
     tm = TensorModule(vm, im)
     # offset n = -1: index k = n+i = 0 at i = 1 is excluded
     full = sum(vm.vphi_dim(i) for i in range(3))
-    assert tm.weight_space_dim(-1, 2) == full - vm.vphi_dim(1)
+    assert tm.weight_space_dim(-1) == full - vm.vphi_dim(1)
 
 
 def test_leibniz_representation_property():
@@ -166,12 +162,12 @@ def test_leibniz_property_with_nontrivial_b():
 
 def test_generation_check_generic():
     tm = make_module(h="1/2", c="0", alpha="1/2", beta="2", depth=2)
-    assert tm.generation_check(2, -4, 4)
+    assert tm.generation_check(-4, 4)
 
 
 def test_generation_check_depth_zero():
     tm = make_module(depth=0)
-    assert tm.generation_check(0, -3, 3)
+    assert tm.generation_check(-3, 3)
 
 
 def test_generation_check_degenerate_pair():
@@ -180,7 +176,7 @@ def test_generation_check_degenerate_pair():
     im = prime_module(0, 0, PSI1)
     tm = TensorModule(vm, im)
     assert im.index_set == INDEX_NONZERO
-    assert tm.generation_check(2, -3, 3)
+    assert tm.generation_check(-3, 3)
 
 
 def _span_of_all_words_contains_truncation(tm, depth, kmin, kmax):
@@ -231,7 +227,7 @@ def test_generation_check_equals_span_of_all_words(algebra, d0, c, psi, alpha, b
     im = prime_module(alpha, beta, CharacterPsi(B, psi))
     tm = TensorModule(vm, im)
     want = _span_of_all_words_contains_truncation(tm, depth, -3, 3)
-    assert tm.generation_check(depth, -3, 3) == want
+    assert tm.generation_check(-3, 3) == want
 
 
 def test_act_words_linear_combination():
