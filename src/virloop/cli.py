@@ -28,6 +28,7 @@ from importlib import resources
 from .config import (
     ConfigError,
     RunConfig,
+    _int_field,
     _scalar_field,
     _validate_probe,
     algebra_field,
@@ -41,6 +42,7 @@ from .config import (
     report_json,
     run_config,
     weight_space_dims,
+    window_field,
 )
 from .intermediate import INDEX_ALL, IntModule, IntParams, is_irreducible_int, prime_module
 from .probes import (
@@ -55,7 +57,6 @@ from .probes import (
     iso_signature,
     psi_separation,
 )
-from .verma import DepthExceededError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -116,33 +117,8 @@ def _add_int_factor(p):
 
 def _add_depth(p, default=2):
     p.add_argument(
-        "--depth", type=_nonnegative_int, default=default, help="truncation depth of the Verma factor (≥ 0)"
+        "--depth", type=int, default=default, help="truncation depth of the Verma factor (≥ 0)"
     )
-
-
-class _WindowAction(argparse.Action):
-    """Store [KMIN, KMAX], rejecting a reversed window as invalid input."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        kmin, kmax = values
-        if kmin > kmax:
-            raise argparse.ArgumentError(self, f"kmin {kmin} exceeds kmax {kmax}")
-        setattr(namespace, self.dest, values)
-
-
-def _int_at_least(text: str, minimum: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-    return value
-
-
-# argparse types bounded as `run` configs bound the same fields
-_positive_int = functools.partial(_int_at_least, minimum=1)
-_nonnegative_int = functools.partial(_int_at_least, minimum=0)
 
 
 def _belem_text(text: str):
@@ -155,7 +131,6 @@ def _add_window(p, default=(-6, 6)):
         "--window",
         nargs=2,
         type=int,
-        action=_WindowAction,
         default=list(default),
         metavar=("KMIN", "KMAX"),
         help="index window of the intermediate factor",
@@ -169,13 +144,13 @@ def _spec(args) -> RunConfig:
     """The module spec the shared flags declare; `--psi` adds the intermediate factor."""
     algebra = algebra_field(args.algebra, "--algebra")
     hw = hw_field(algebra, args.phi_d0, args.phi_c, "--phi-d0", "--phi-c")
-    cfg = RunConfig(algebra, hw, None, None, None, args.depth)
+    cfg = RunConfig(algebra, hw, None, None, None, _int_field(args.depth, "--depth", minimum=0))
     if "psi" in args:
         cfg.psi = psi_field(algebra, args.psi, "--psi")
         cfg.alpha = _scalar_field(args.alpha, "--alpha")
         cfg.beta = _scalar_field(args.beta, "--beta")
     if "window" in args:
-        cfg.window = tuple(args.window)
+        cfg.window = window_field(args.window, "--window")
     return cfg
 
 
@@ -205,15 +180,16 @@ def _run_probe(cfg: RunConfig, raw: dict, path: str) -> int:
 def _cmd_int_module(args) -> int:
     alpha = _scalar_field(args.alpha, "--alpha")
     beta = _scalar_field(args.beta, "--beta")
-    kmin, kmax = args.window
+    kmin, kmax = window_field(args.window, "--window")
+    degree = _int_field(args.degree, "--degree", minimum=1)
     raw = IntModule(IntParams(alpha, beta, None), INDEX_ALL)
     prime = prime_module(alpha, beta)
     # the normalized module's indices are a subset of the raw module's
     if len(prime.window_indices(kmin, kmax)) < 2:
         raise ConfigError("--window", f"[{kmin}, {kmax}] holds fewer than 2 allowed indices")
     predicate = is_irreducible_int(alpha, beta)
-    raw_full = raw.closure_is_full(kmin, kmax, args.degree)
-    prime_full = prime.closure_is_full(kmin, kmax, args.degree)
+    raw_full = raw.closure_is_full(kmin, kmax, degree)
+    prime_full = prime.closure_is_full(kmin, kmax, degree)
     consistent = (raw_full == predicate) and prime_full
     _emit(
         {
@@ -228,7 +204,7 @@ def _cmd_int_module(args) -> int:
                 "closure_full": prime_full,
             },
             "window": [kmin, kmax],
-            "degree": args.degree,
+            "degree": degree,
             "consistent": consistent,
         }
     )
@@ -305,6 +281,8 @@ def _cmd_iso_check(args) -> int:
     psi2 = psi_field(algebra, args.psi2, "--psi2")
     names = ("alpha1", "beta1", "alpha2", "beta2")
     params = {name: _scalar_field(getattr(args, name), f"--{name}") for name in names}
+    depth = _int_field(args.depth, "--depth", minimum=0)
+    window = window_field(args.window, "--window")
     alpha1, beta1, alpha2, beta2 = params.values()
     s1 = iso_signature(algebra, hw1, alpha1, beta1, psi1)
     s2 = iso_signature(algebra, hw2, alpha2, beta2, psi2)
@@ -317,7 +295,7 @@ def _cmd_iso_check(args) -> int:
         "differences": diffs,
     }
     if not equal and args.refute:
-        cfg = RunConfig(algebra, hw1, psi1, alpha1, beta1, args.depth, tuple(args.window))
+        cfg = RunConfig(algebra, hw1, psi1, alpha1, beta1, depth, window)
         _, t1 = build_modules(cfg)
         _, t2 = build_modules(replace(cfg, hw=hw2, psi=psi2, alpha=alpha2, beta=beta2))
         facts["weight_space_dims"] = {
@@ -345,8 +323,6 @@ def load_config_data(source: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config", "top level must be a JSON object")
     return data
 
 
@@ -384,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     _add_window(p, default=(-8, 8))
-    p.add_argument("--degree", type=_positive_int, default=4, help="degree bound for the closure scan (≥ 1)")
+    p.add_argument("--degree", type=int, default=4, help="degree bound for the closure scan (≥ 1)")
     p.set_defaults(func=_cmd_int_module)
 
     p = sub.add_parser("verma", help="truncated Verma module: dimensions, form ranks, radicals")
@@ -412,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phi(p)
     _add_int_factor(p)
     _add_depth(p)
-    p.add_argument("--m", type=int, default=0, help="index of the seed pure tensor")
+    p.add_argument("--m", type=int, help="index of the seed pure tensor (default 0)")
     p.add_argument("--k", type=int, required=True, help="depth window the certificate covers")
     p.set_defaults(func=_cmd_endo_probe)
 
@@ -421,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_phi(p)
     _add_int_factor(p)
     _add_depth(p)
-    p.add_argument("--case", choices=["I", "II"], required=True)
+    p.add_argument("--case", required=True, help="I (beta != 0) or II (beta == 0)")
     p.add_argument(
         "--b", type=_belem_text, required=True, help="basis label or comma-separated coordinates in B"
     )
-    p.add_argument("--m", type=int, default=0, help="weight offset of the probed vector")
+    p.add_argument("--m", type=int, help="weight offset of the probed vector (default 0)")
     p.add_argument("--n", type=int, required=True, help="top depth of the probed vector")
-    p.add_argument("--l-max", type=_positive_int, default=None, help="scan bound for the operator degree")
+    p.add_argument("--l-max", type=int, help="scan bound for the operator degree")
     p.set_defaults(func=_cmd_x_probe)
 
     p = sub.add_parser("cor31", help="pure-tensor ladder certificate for an ideal direction")
@@ -453,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi2-d0", nargs="+", default=None, metavar="VAL")
     p.add_argument("--phi2-c", nargs="+", default=None, metavar="VAL")
     _add_depth(p, default=1)
-    p.add_argument("--depth2", type=_nonnegative_int, default=None)
+    p.add_argument("--depth2", type=int)
     _add_window(p, default=(-4, 4))
     p.add_argument("--k", type=int, default=None, help="seed index on the live side")
-    p.add_argument("--degrees", type=_positive_int, default=5, help="number of operator degrees to verify")
+    p.add_argument("--degrees", type=int, help="number of operator degrees to verify (default 5)")
     p.set_defaults(func=_cmd_psi_sep)
 
     p = sub.add_parser("iso-coeffs", help="coefficients of the grouped isomorphism polynomial")
@@ -502,7 +478,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, DepthExceededError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:

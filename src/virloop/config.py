@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .coeff_algebra import AlgebraB, BElem, CharacterPsi, builtin_algebra
-from .intermediate import int_module, is_irreducible_int
+from .intermediate import int_module
 from .probes import (
     STATUS_FAIL,
     STATUS_PASS,
@@ -85,6 +85,17 @@ def _int_field(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
     return value
+
+
+def window_field(value, path: str) -> tuple[int, int]:
+    """An index window [kmin, kmax] with kmin <= kmax."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, "expected [kmin, kmax]")
+    kmin = _int_field(value[0], f"{path}[0]")
+    kmax = _int_field(value[1], f"{path}[1]")
+    if kmin > kmax:
+        raise ConfigError(path, f"kmin {kmin} exceeds kmax {kmax}")
+    return kmin, kmax
 
 
 def algebra_field(value, path: str = "algebra") -> AlgebraB:
@@ -245,13 +256,7 @@ def load_config(data: dict) -> RunConfig:
 
     depth = _int_field(data.get("depth", 2), "depth", minimum=0)
 
-    window_raw = data.get("window", [-6, 6])
-    if not isinstance(window_raw, list) or len(window_raw) != 2:
-        raise ConfigError("window", "expected [kmin, kmax]")
-    kmin = _int_field(window_raw[0], "window[0]")
-    kmax = _int_field(window_raw[1], "window[1]")
-    if kmin > kmax:
-        raise ConfigError("window", f"kmin {kmin} exceeds kmax {kmax}")
+    window = window_field(data.get("window", [-6, 6]), "window")
 
     seed = _int_field(data.get("seed", 0), "seed")
 
@@ -273,7 +278,7 @@ def load_config(data: dict) -> RunConfig:
         alpha=alpha,
         beta=beta,
         depth=depth,
-        window=(kmin, kmax),
+        window=window,
         seed=seed,
         probes=probes,
         output=output,
@@ -423,9 +428,7 @@ def execute_probe(cfg: RunConfig, tensor, index: int, desc: dict) -> ProbeCertif
         return psi_separation(tensor, tensor2, cfg.window, k=k, num_l=desc["degrees"])
     if kind == "iso-identity":
         return iso_identity_cert(cfg.seed, index, desc["samples"])
-    if kind == "iso-coeffs":
-        return iso_coeffs_cert(desc["A"], desc["b1"], desc["Q"], desc["b2"])
-    raise ConfigError(f"probes[{index}].kind", f"unhandled kind {kind!r}")
+    return iso_coeffs_cert(desc["A"], desc["b1"], desc["Q"], desc["b2"])
 
 
 def aggregate_status(statuses) -> str:
@@ -460,7 +463,7 @@ def run_config(cfg: RunConfig, with_timing: bool = False) -> dict:
             "alpha": str(cfg.alpha),
             "beta": str(cfg.beta),
             "index_set": tensor.intermediate.index_set,
-            "irreducible": is_irreducible_int(cfg.alpha, cfg.beta),
+            "irreducible": tensor.intermediate.irreducible,
             "psi": [str(v) for v in cfg.psi.values],
         }
         results["tensor"] = {

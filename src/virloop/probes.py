@@ -48,7 +48,8 @@ from json.encoder import encode_basestring_ascii
 
 from .coeff_algebra import AlgebraB, CharacterPsi
 from .linalg import SpanBasis, nullspace
-from .scalars import GaussianRational, ONE, ZERO, normalize_alpha, scalar
+from .intermediate import prime_module
+from .scalars import GaussianRational, ONE, scalar
 from .tensor_product import TensorModule, TensorVector
 from .verma import HighestWeight
 from .virasoro import Generator, WordSum, d_gen
@@ -360,8 +361,6 @@ def endo_probe(tensor: TensorModule, m: int, k: int) -> ProbeCertificate:
     params = {"m": m, "k": k, "alpha": str(alpha), "beta": str(beta)}
     if k < 0:
         raise ValueError("depth bound k must be nonnegative")
-    if tensor.verma.depth < k:
-        raise ValueError(f"quotient computed to depth {tensor.verma.depth} < k = {k}")
     run = ProbeRun("endo", params, tensor)
     if not tensor.intermediate.irreducible:
         return run.unsatisfiable([_REDUCIBLE_FACTOR])
@@ -471,8 +470,6 @@ def depth_reduction_probe(
             reasons.append("case II requires beta == 0")
         if alpha.is_integer():
             reasons.append("case II requires alpha not an integer")
-    if n <= 0:
-        reasons.append("top depth n must be positive")
     if l_max < n + 2:
         reasons.append(f"l_max = {l_max} is below n + 2 = {n + 2}, so no degree l is scanned")
     if not tensor.intermediate.allowed_index(m + n):
@@ -579,8 +576,7 @@ def pure_tensor_ladder_check(
     (c) iterating the ladders connects every pure tensor in the window to
         every other, so the cyclic submodules they generate coincide.
 
-    Stage a reads level 1, so a Verma factor of depth 0 raises
-    DepthExceededError.
+    Stage a reads level 1, so a Verma factor of depth 0 raises ValueError.
     """
     algebra = tensor.algebra
     vm = tensor.verma
@@ -749,8 +745,6 @@ def psi_separation(
 
     if k is None:
         k = 0 if live.intermediate.allowed_index(0) else 1
-    if not live.intermediate.allowed_index(k):
-        raise ValueError(f"index {k} lies outside the live module's basis")
 
     if not beta and not (alpha + k):
         return run.unsatisfiable([
@@ -957,18 +951,15 @@ class IsoSignature:
 def iso_signature(
     algebra: AlgebraB, hw: HighestWeight, alpha, beta, psi: CharacterPsi
 ) -> IsoSignature:
-    """Normalize parameters and collect the isomorphism invariant."""
-    a0, _shift = normalize_alpha(scalar(alpha))
-    beta = scalar(beta)
-    if beta == ONE:
-        beta = ZERO
+    """Normalize parameters as `prime_module` does and collect the isomorphism invariant."""
+    normal = prime_module(alpha, beta).params
     basis = [algebra.basis_elem(j) for j in range(algebra.dim)]
     return IsoSignature(
         psi_values=tuple(psi.of(e) for e in basis),
         phi_d0_values=tuple(hw.of_d0(e) for e in basis),
         phi_c_values=tuple(hw.of_c(e) for e in basis),
-        alpha=a0,
-        beta=beta,
+        alpha=normal.alpha,
+        beta=normal.beta,
     )
 
 

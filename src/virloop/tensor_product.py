@@ -9,7 +9,7 @@ k.  A generator acts by the Leibniz rule,
 with central generators acting by φ(C⊗b) on the first factor and by zero
 on the second.  The action is exact: each generator maps a basis pair to
 finitely many basis pairs, and the only resource bound is the computed
-depth of V(φ).  Exceeding it raises DepthExceededError rather than
+depth of V(φ).  Exceeding it raises ValueError rather than
 truncating, because downstream probe certificates rely on exactness.
 
 Weight bookkeeping: the summand (i, mono, k) has weight φ(d_0)+α+(k-i),
@@ -21,7 +21,7 @@ from __future__ import annotations
 from .intermediate import IntModule
 from .linalg import SpanBasis, deposit
 from .scalars import ONE, ZERO, scalar
-from .verma import DepthExceededError, VermaModule
+from .verma import VermaModule
 from .virasoro import Generator, KIND_D, WordSum
 
 TensorVector = dict
@@ -57,9 +57,7 @@ class TensorModule:
             if not self.intermediate.allowed_index(k):
                 raise ValueError(f"index {k} outside the intermediate basis")
             if i > self.verma.depth:
-                raise DepthExceededError(
-                    f"level {i} beyond depth {self.verma.depth}; extend depth"
-                )
+                raise ValueError(f"level {i} lies beyond depth {self.verma.depth}")
             mono = tuple(mono)
             if mono not in self.verma.monomial_index(i):
                 raise ValueError(f"unknown level-{i} monomial {mono!r}")

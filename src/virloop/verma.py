@@ -41,14 +41,6 @@ Monomial = tuple
 PbwVector = dict
 
 
-class DepthExceededError(Exception):
-    """Raised when an action needs a level beyond the computed depth.
-
-    A module's depth is fixed when it is built; going deeper means building
-    a new module.
-    """
-
-
 class HighestWeight:
     """The functional φ on the degree-zero part, stored by B-basis values."""
 
@@ -251,9 +243,7 @@ class VermaModule:
         if k < 0:
             raise ValueError("level must be non-negative")
         if k > self.depth:
-            raise DepthExceededError(
-                f"level {k} not computed (depth {self.depth}); extend depth to proceed"
-            )
+            raise ValueError(f"level {k} lies beyond depth {self.depth}")
         return self._levels[k]
 
     # -- level queries -------------------------------------------------------------
@@ -297,15 +287,13 @@ class VermaModule:
 
         Returns (target level, reduced vector); the target is k - degree.
         Raising past the top gives the zero vector at level 0.  Lowering
-        below the computed depth raises DepthExceededError.
+        below the computed depth raises ValueError.
         """
         target = k - gen.degree if gen.kind == KIND_D else k
         if target < 0:
             return 0, {}
         if target > self.depth:
-            raise DepthExceededError(
-                f"action lands at level {target} beyond depth {self.depth}; extend depth"
-            )
+            raise ValueError(f"action lands at level {target} beyond depth {self.depth}")
         return target, self.vphi_reduce(target, self._action.apply(gen, vec))
 
     # -- irreducibility certificate ----------------------------------------------------

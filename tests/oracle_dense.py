@@ -89,12 +89,6 @@ class DenseOracle:
         self._neg_cache = {}
         self._gen_cache = {}
 
-    def phi_d0_of(self, belem):
-        return sum((c * v for c, v in zip(belem, self.phi_d0)), ZERO)
-
-    def phi_c_of(self, belem):
-        return sum((c * v for c, v in zip(belem, self.phi_c)), ZERO)
-
     def multiply_neg(self, m, j, mono):
         """(d_{-m} tensor e_j) . mono, straightened to canonical monomials."""
         key = (m, j, mono)

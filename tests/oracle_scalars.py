@@ -143,9 +143,6 @@ def _imag_str(im: Fraction) -> str:
     return f"{im}*i"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-
 _FRACTION = r"\d+(?:/\d+)?"
 _TERM = _re.compile(
     rf"(?P<sign>[+-]?)(?:(?P<coef>{_FRACTION})(?:\*?(?P<unit>i))?|(?P<lone_i>i))"

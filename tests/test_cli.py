@@ -423,8 +423,6 @@ NEGATIVE_DEPTH_COMMANDS = {
     "cor31": ["cor31", *_PHI, "--b", "e0", "--depth", "-1"],
     "psi-sep": ["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
                 "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--depth", "-1"],
-    "psi-sep-depth2": ["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
-                       "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--depth2", "-2"],
     # isomorphic modules: nothing is built, yet the depth is still checked
     "iso-check": ["iso-check", "--phi1-d0", "1", "--psi1", "1", "--alpha1", "1/2", "--beta1", "1/3",
                   "--phi2-d0", "1", "--psi2", "1", "--alpha2", "3/2", "--beta2", "1/3", "--depth", "-1"],
@@ -434,12 +432,11 @@ NEGATIVE_DEPTH_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(NEGATIVE_DEPTH_COMMANDS))
 def test_cli_negative_depth_is_config_error(command, capsys):
-    # `run` rejects the same depths through config._int_field (minimum 0)
+    # the flag goes through config._int_field (minimum 0), as a config's depth does
     assert main(NEGATIVE_DEPTH_COMMANDS[command]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config error: arguments: argument --depth" in captured.err
-    assert "must be at least 0" in captured.err
+    assert "config error: --depth: must be >= 0" in captured.err
 
 
 @pytest.mark.parametrize("degree", ["0", "-2"])
@@ -448,25 +445,7 @@ def test_cli_int_module_degree_below_one_is_config_error(degree, capsys):
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--degree: must be at least 1" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["psi-sep", "--algebra", "split 2", "--phi-d0", "0", "1", "--psi1", "1", "0",
-          "--psi2", "0", "1", "--alpha", "1/2", "--beta", "1/3", "--degrees", "0"], "--degrees"),
-        (["x-probe", "--case", "I", "--phi-d0", "1", "--psi", "1", "--alpha", "1/2",
-          "--beta", "2", "--b", "e0", "--n", "1", "--l-max", "0"], "--l-max"),
-    ],
-    ids=["psi-sep-degrees", "x-probe-l-max"],
-)
-def test_cli_probe_bound_below_one_is_config_error(argv, flag, capsys):
-    # `run` rejects the same bounds through config._validate_probe
-    assert main(argv) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{flag}: must be at least 1" in captured.err
+    assert "config error: --degree: must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -896,6 +875,16 @@ def test_run_reducible_intermediate_factor_is_unsatisfiable(tmp_path, capsys):
     assert _REDUCIBLE in report["results"]["probes"][0]["reasons"][0]
 
 
+def test_run_reports_the_origin_module_as_built_irreducible(tmp_path, capsys):
+    # at (0,0) the module on Z is reducible, but the one built is on Z - {0}
+    data = minimal_config(psi=["1"], alpha="0", beta="0", probes=[{"kind": "endo", "m": 1, "k": 2}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_PASS
+    intermediate = json.loads(capsys.readouterr().out)["results"]["intermediate"]
+    assert intermediate["index_set"] == "Z-0" and intermediate["irreducible"] is True
+
+
 def test_cli_endo_probe_at_the_origin_runs_on_the_quotient(capsys):
     # (0,0) is on the reducible locus, but the module is built on Z - {0},
     # which is the irreducible quotient, so the probe runs and passes
@@ -1013,6 +1002,33 @@ INVALID_PROBE_PAIRS = [
              probes=[{"kind": "psi-separation", "psi2": ["0", "1"], "phi2": {"c": ["1", "1"]}}]),
         "phi2.d0: required field is missing",
     ),
+    (
+        ["x-probe", "--case", "I", *_GAP6_FLAGS, "--l-max", "0"],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1/2", "beta": "2",
+         "depth": 1, "probes": [{"kind": "depth-reduction", "case": "I", "b": "e0", "m": 1, "n": 1,
+                                 "l_max": 0}]},
+        "l_max: must be >= 1",
+    ),
+    (
+        ["x-probe", "--case", "III", *_GAP6_FLAGS],
+        {"algebra": "trivial", "phi": {"d0": ["1"]}, "psi": ["1"], "alpha": "1/2", "beta": "2",
+         "depth": 1, "probes": [{"kind": "depth-reduction", "case": "III", "b": "e0", "m": 1, "n": 1}]},
+        "case: expected 'I' or 'II'",
+    ),
+    (
+        ["psi-sep", *_SPLIT_FLAGS, "--phi-d0", "0", "1", "--psi1", "1", "0", "--psi2", "0", "1",
+         "--degrees", "0"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["0", "1"]}, psi=["1", "0"],
+             probes=[{"kind": "psi-separation", "psi2": ["0", "1"], "degrees": 0}]),
+        "degrees: must be >= 1",
+    ),
+    (
+        ["psi-sep", *_SPLIT_FLAGS, "--phi-d0", "0", "1", "--psi1", "1", "0", "--psi2", "0", "1",
+         "--depth2", "-2"],
+        dict(_SPLIT_CONFIG, phi={"d0": ["0", "1"]}, psi=["1", "0"],
+             probes=[{"kind": "psi-separation", "psi2": ["0", "1"], "depth2": -2}]),
+        "depth2: must be >= 0",
+    ),
 ]
 
 
@@ -1039,7 +1055,8 @@ MODULE_REFUSED_PAIRS = [
 @pytest.mark.parametrize(
     "argv, config, message",
     INVALID_PROBE_PAIRS + MODULE_REFUSED_PAIRS,
-    ids=[a[0] for a, _, _ in INVALID_PROBE_PAIRS] + ["cor31-single-index", "psi-sep-k-off-basis"],
+    ids=["x-probe", "endo-probe", "cor31", "psi-sep", "x-probe-l-max", "x-probe-case",
+         "psi-sep-degrees", "psi-sep-depth2", "cor31-single-index", "psi-sep-k-off-basis"],
 )
 def test_cli_and_run_refuse_the_same_probe_input(argv, config, message, tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
@@ -1095,18 +1112,45 @@ def test_cli_engine_value_error_exits_4(monkeypatch, capsys):
     assert "ValueError: engine fault" in captured.err
 
 
+def test_cli_engine_depth_fault_exits_4(monkeypatch, capsys):
+    # the engine builds a shallower Verma factor than the flags ask for, so the ladder's
+    # stage a reads a missing level: a fault of the engine, not of the input
+    import virloop.config as config
+    from virloop.verma import VermaModule
+
+    monkeypatch.setattr(config, "VermaModule", lambda algebra, hw, depth: VermaModule(algebra, hw, 0))
+    argv = ["cor31", *_SPLIT_FLAGS, "--phi-d0", "1", "0", "--psi", "0", "1", "--depth", "1",
+            "--window", "-2", "2", "--b", "e1"]
+    assert main(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback (most recent call last)" in captured.err
+    assert "ValueError: level 1 lies beyond depth 0" in captured.err
+
+
+def test_run_vector_beyond_depth_is_config_error(tmp_path, capsys):
+    data = tensor_config(algebra="trivial", phi={"d0": ["1"]}, psi=["1"], beta="2", depth=1,
+                         probes=[{"kind": "depth-reduction", "case": "I", "b": "e0", "m": 0,
+                                  "n": 1, "vector": [[3, [[3, 0]], 3, "1"]]}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: probes[0].vector: level 3 lies beyond depth 1" in captured.err
+
+
 def test_ladder_probe_leaves_the_shared_module_unchanged():
     # a ladder probe at depth 0 used to deepen the Verma factor, so a later probe of
     # the same run checked more degrees than its report's depth allows
     from virloop.config import execute_probe
-    from virloop.verma import DepthExceededError
 
     data = dict(_SPLIT_CONFIG, phi={"d0": ["1", "0"]}, psi=["0", "1"], depth=0, window=[-2, 2],
                 probes=[{"kind": "psi-separation", "psi2": ["1", "0"]}])
     cfg = load_config(data)
     alone = run_config(cfg)["results"]["probes"][0]
     vm, tensor = build_modules(cfg)
-    with pytest.raises(DepthExceededError):
+    with pytest.raises(ValueError, match="beyond depth"):
         execute_probe(cfg, tensor, 0, {"kind": "ladder", "b": split_algebra(2).basis_elem(1)})
     assert vm.depth == 0
     assert execute_probe(cfg, tensor, 1, cfg.probes[0]).to_dict() == alone

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "virloop"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "virloop"
+BENCH = TESTS.parent / "bench"
 
 
 def _quoted_names(annotation) -> set:
@@ -77,13 +79,25 @@ READ_OUTSIDE_SRC = {
 
 
 def _reads(node) -> Counter:
-    """Reads below node: ("name", x) for a bare or quoted-annotation name, ("attr", x) for .x."""
+    """Reads below node: ("name", x) for a bare or quoted-annotation name, ("attr", x) for .x.
+
+    `mod.x` on a module bound by `import mod` (or `import pkg as mod`) below
+    node also counts as ("name", x): it reads mod's module-level x.
+    """
+    modules = {
+        a.asname or a.name.split(".")[0]
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Import)
+        for a in sub.names
+    }
     reads = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             reads["name", sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             reads["attr", sub.attr] += 1
+            if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                reads["name", sub.attr] += 1
         elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
             reads.update(("name", x) for x in _quoted_names(sub.annotation))
         elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
@@ -91,8 +105,11 @@ def _reads(node) -> Counter:
     return reads
 
 
-def dead_definitions(sources: list) -> list:
+def dead_definitions(sources: list, readers: list = ()) -> list:
     """Module-level functions and classes, and methods, that no other code in sources reads.
+
+    readers are further sources whose reads count but whose own
+    definitions are not reported.
 
     A module-level definition is read by its bare name, a method as an
     attribute of anything (`obj.name`), so a local variable never hides a
@@ -101,7 +118,7 @@ def dead_definitions(sources: list) -> list:
     calls, are never reported.  Methods come as "Class.name".
     """
     trees = [ast.parse(source) for source in sources]
-    reads = sum((_reads(tree) for tree in trees), Counter())
+    reads = sum((_reads(tree) for tree in trees + [ast.parse(source) for source in readers]), Counter())
     dead = []
 
     def visit(body, prefix, how):
@@ -157,6 +174,15 @@ main()
 volume(3)
 '''
     assert dead_definitions([first, second]) == ["Shape.orphan", "Shape.size", "countdown"]
+    # a reader's own definitions are not reported; a qualified read through an import counts
+    qualified = '''
+import first as shapes
+
+
+def probe():
+    return shapes.countdown(3)
+'''
+    assert dead_definitions([first], [second, qualified]) == ["Shape.orphan", "Shape.size"]
     # the blind spot: a read of .add spares every class that defines add
     third = '''
 class Bag:
@@ -193,6 +219,13 @@ def test_src_defines_nothing_that_nothing_reads():
     dead = dead_definitions(sources)
     assert sorted(set(dead) - set(READ_OUTSIDE_SRC)) == []
     assert set(READ_OUTSIDE_SRC) <= set(dead), "an allowlisted name is read in src or gone"
+
+
+def test_oracles_define_nothing_unread_by_tests_or_bench():
+    oracles = sorted(TESTS.glob("oracle_*.py"))
+    readers = [p for p in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py")) if p not in oracles]
+    read = [path.read_text(encoding="utf-8") for path in readers]
+    assert dead_definitions([path.read_text(encoding="utf-8") for path in oracles], read) == []
 
 
 # Public method names that more than one src class defines, each class mapped to the src
@@ -337,3 +370,51 @@ TOP = json.dumps({})
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_src_writes_json_only_through_dump_json(path):
     assert json_format_violations(path.read_text(encoding="utf-8")) == []
+
+
+# argparse only parses (str to int, nargs, required): virloop.config bounds, defaults and refuses.
+ARGPARSE_TYPES = {"int", "_belem_text"}
+
+
+def argparse_violations(source: str) -> list:
+    """(flag, keyword) of each add_argument call that does more than parse.
+
+    A call may pass `type` only as int or _belem_text, `action` only as
+    "store_true", and no `choices`.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        flag = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else None
+        for kw in node.keywords:
+            value = kw.value
+            bad_type = kw.arg == "type" and not (isinstance(value, ast.Name) and value.id in ARGPARSE_TYPES)
+            bad_action = kw.arg == "action" and not (
+                isinstance(value, ast.Constant) and value.value == "store_true"
+            )
+            if kw.arg == "choices" or bad_type or bad_action:
+                found.append((flag, kw.arg))
+    return found
+
+
+def test_argparse_violations_detects_and_spares():
+    source = '''
+def build(p, _positive_int, _WindowAction):
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--b", type=_belem_text, required=True)
+    p.add_argument("--refute", action="store_true")
+    p.add_argument("--psi", nargs="+", required=True)
+    p.add_argument("--degree", type=_positive_int)
+    p.add_argument("--case", choices=["I", "II"])
+    p.add_argument("--window", nargs=2, type=int, action=_WindowAction)
+    p.add_argument("--quiet", action="store_false")
+'''
+    assert argparse_violations(source) == [
+        ("--degree", "type"), ("--case", "choices"), ("--window", "action"), ("--quiet", "action")
+    ]
+
+
+def test_cli_argparse_only_parses():
+    assert argparse_violations((SRC / "cli.py").read_text(encoding="utf-8")) == []

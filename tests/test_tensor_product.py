@@ -9,7 +9,7 @@ from virloop.intermediate import INDEX_NONZERO, IntModule, IntParams, prime_modu
 from virloop.linalg import SpanBasis
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.tensor_product import TensorModule
-from virloop.verma import DepthExceededError, HighestWeight, VermaModule
+from virloop.verma import HighestWeight, VermaModule
 from virloop.virasoro import KIND_C, KIND_D, Generator, d_gen
 
 from oracle_lie import LieElement, act_lie
@@ -27,7 +27,7 @@ def make_module(h="1", c="0", alpha="1/2", beta="2", depth=3):
 def test_seed_and_vector_validation():
     tm = make_module()
     assert tm.seed(3) == {(0, (), 3): ONE}
-    with pytest.raises(DepthExceededError):
+    with pytest.raises(ValueError, match="beyond depth"):
         tm.vector({(9, (), 0): 1})
     with pytest.raises(ValueError):
         tm.vector({(1, ((5, 0),), 0): 1})
@@ -71,7 +71,7 @@ def test_negative_generator_mixes_both_factors():
 def test_depth_guard_is_hard():
     tm = make_module(depth=1)
     x = tm.act(d_gen(-1, TRIV.unit), tm.seed(0))
-    with pytest.raises(DepthExceededError):
+    with pytest.raises(ValueError, match="beyond depth"):
         tm.act(d_gen(-1, TRIV.unit), x)
     assert make_module(depth=2).act(d_gen(-1, TRIV.unit), x)
 

@@ -23,7 +23,6 @@ from virloop import linalg
 from virloop.linalg import SpanBasis, nullspace
 from virloop.scalars import ONE, ZERO, scalar
 from virloop.verma import (
-    DepthExceededError,
     HighestWeight,
     VermaModule,
     normal_order,
@@ -273,7 +272,7 @@ def test_act_on_vphi_highest_weight_and_central():
 
 def test_act_on_vphi_depth_guard():
     lower = d_gen(-1, TRIV.unit)
-    with pytest.raises(DepthExceededError):
+    with pytest.raises(ValueError, match="beyond depth"):
         VermaModule(TRIV, hw_c(1, 0), 2).act_on_vphi(lower, 2, {((2, 0),): ONE})
     target, res = VermaModule(TRIV, hw_c(1, 0), 3).act_on_vphi(lower, 2, {((2, 0),): ONE})
     assert target == 3 and res
